@@ -24,7 +24,6 @@ from .diagnostics import (
 )
 from .factors import (
     StabilizingFactor,
-    factor_gradient,
     from_descriptor,
     inner_factor,
     norm_factor,
@@ -62,7 +61,7 @@ __all__ = [
     "iteration_matrix_action", "iteration_matrix_spectrum", "jacobian_F_action",
     "jacobian_spectrum", "orbit_match", "spectrum_shift_check",
     "symmetry_generators", "top_eigenvalues",
-    "StabilizingFactor", "factor_gradient", "from_descriptor", "inner_factor",
+    "StabilizingFactor", "from_descriptor", "inner_factor",
     "norm_factor", "optimal_gamma", "petviashvili_factor",
     "IterationConfig", "IterationTrace", "SolveResult", "classical_step",
     "newton_solve", "residual", "solve", "stabilized_step",

@@ -16,13 +16,14 @@ import csv
 import importlib.resources
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import diagnostics, factors, problems
 from .continuation import ContinuationResult, HomotopyPath, continue_solve
-from .iterate import IterationConfig, SolveResult, newton_solve, solve
+from .iterate import COLLAPSED, IterationConfig, SolveResult, newton_solve, solve
 from .spectral import Field, Grid1D, Grid2D, derivative
 
 FLOAT_FMT = "%.17g"
@@ -202,30 +203,36 @@ def output_dir(cfg: dict, override: str | None) -> Path:
 # writers / readers
 
 
+def _write_csv(path: Path, header: str, prefixes: list[str], *columns) -> None:
+    """A CSV whose lines are the given prefixes followed by one FLOAT_FMT field
+    per column, formatted in one pass.  Lines end with \\r\\n, as csv.writer
+    ends them."""
+    fields = ",".join([FLOAT_FMT] * len(columns))
+    template = "".join(f"{prefix}{fields}\r\n" for prefix in prefixes)
+    with open(path, "w", newline="") as fh:
+        fh.write(f"{header}\r\n" + template % tuple(np.column_stack(columns).ravel().tolist()))
+
+
+def _prefixes(nodes: np.ndarray) -> list[str]:
+    return [f"{FLOAT_FMT % x}," for x in nodes]
+
+
 def write_trace_csv(path: Path, result: SolveResult) -> None:
     tr = result.trace
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["iter", "residual", "factor_discrepancy", "norm"])
-        for n in range(len(tr.residuals)):
-            w.writerow([n, FLOAT_FMT % tr.residuals[n],
-                        FLOAT_FMT % tr.factor_discrepancies[n], FLOAT_FMT % tr.norms[n]])
+    _write_csv(path, "iter,residual,factor_discrepancy,norm", [f"{n}," for n in range(len(tr.residuals))],
+               tr.residuals, tr.factor_discrepancies, tr.norms)
 
 
 def write_profile_csv(path: Path, field: Field) -> None:
-    vals = np.asarray(field.values)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        if vals.ndim == 1:
-            w.writerow(["x", "re", "im"])
-            for xj, vj in zip(field.grid.nodes, vals):
-                w.writerow([FLOAT_FMT % xj, FLOAT_FMT % vj.real, FLOAT_FMT % vj.imag])
-        else:
-            w.writerow(["x", "z", "re", "im"])
-            X, Z = field.grid.mesh
-            for xj, zj, vj in zip(X.ravel(), Z.ravel(), vals.ravel()):
-                w.writerow([FLOAT_FMT % xj, FLOAT_FMT % zj,
-                            FLOAT_FMT % vj.real, FLOAT_FMT % vj.imag])
+    grid = field.grid
+    axes = (grid,) if field.values.ndim == 1 else (grid.grid_x, grid.grid_z)
+    # node coordinates repeat along the other axis: format each one once
+    prefixes = [""]
+    for axis in axes:
+        coords = _prefixes(axis.nodes)
+        prefixes = [p + x for p in prefixes for x in coords]
+    vals = np.asarray(field.values).ravel()
+    _write_csv(path, "x,re,im" if len(axes) == 1 else "x,z,re,im", prefixes, vals.real, vals.imag)
 
 
 def write_cross_sections(outdir: Path, field: Field) -> None:
@@ -233,16 +240,8 @@ def write_cross_sections(outdir: Path, field: Field) -> None:
     vals = np.asarray(field.values)
     i, j = np.unravel_index(np.argmax(np.abs(vals)), vals.shape)
     gx, gz = field.grid.grid_x, field.grid.grid_z
-    with open(outdir / "profile_xcut.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "value"])
-        for xj, vj in zip(gx.nodes, vals[:, j]):
-            w.writerow([FLOAT_FMT % xj, FLOAT_FMT % np.real(vj)])
-    with open(outdir / "profile_zcut.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["z", "value"])
-        for zj, vj in zip(gz.nodes, vals[i, :]):
-            w.writerow([FLOAT_FMT % zj, FLOAT_FMT % np.real(vj)])
+    _write_csv(outdir / "profile_xcut.csv", "x,value", _prefixes(gx.nodes), np.real(vals[:, j]))
+    _write_csv(outdir / "profile_zcut.csv", "z,value", _prefixes(gz.nodes), np.real(vals[i, :]))
 
 
 def read_profile_csv(path: str | Path, problem) -> Field:
@@ -251,9 +250,12 @@ def read_profile_csv(path: str | Path, problem) -> Field:
             rows = list(csv.reader(fh))
     except FileNotFoundError:
         raise ConfigError(f"seed.path: profile file not found: {path}") from None
-    header, data = rows[0], rows[1:]
-    re_col, im_col = header.index("re"), header.index("im")
-    values = np.array([float(r[re_col]) + 1j * float(r[im_col]) for r in data])
+    try:
+        header, data = rows[0], rows[1:]
+        re_col, im_col = header.index("re"), header.index("im")
+        values = np.array([float(r[re_col]) + 1j * float(r[im_col]) for r in data])
+    except (IndexError, ValueError):
+        raise ConfigError(f"seed.path: {path} is not a profile CSV with 're' and 'im' columns") from None
     expected = int(np.prod(problem.grid.shape))
     if values.size != expected:
         raise ConfigError(f"seed.path: profile has {values.size} nodes, grid needs {expected}")
@@ -271,7 +273,8 @@ def _json_dump(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def summary_payload(cfg: dict, problem, factor, result: SolveResult, engine: str) -> dict:
+def summary_payload(cfg: dict, problem, factor, result: SolveResult, engine: str,
+                    itconfig: IterationConfig) -> dict:
     tr = result.trace
     grid = problem.grid
     if isinstance(grid, Grid2D):
@@ -279,7 +282,6 @@ def summary_payload(cfg: dict, problem, factor, result: SolveResult, engine: str
                      "half_length_z": grid.grid_z.half_length, "points_z": grid.grid_z.point_count}
     else:
         grid_meta = {"half_length": grid.half_length, "points": grid.point_count}
-    it_block = cfg.get("iteration", {})
     return {
         "status": tr.status,
         "iterations": tr.iteration_count,
@@ -293,13 +295,8 @@ def summary_payload(cfg: dict, problem, factor, result: SolveResult, engine: str
         "factor": factor.descriptor if factor is not None else None,
         "problem": {"family": problem.name, **problem.params},
         "grid": grid_meta,
-        "iteration_config": {
-            "max_iterations": it_block.get("max_iterations", 500),
-            "residual_tolerance": it_block.get("residual_tolerance", 1e-12),
-            "factor_tolerance": it_block.get("factor_tolerance", 1e-13),
-            "divergence_guard": it_block.get("divergence_guard", 1e8),
-            "stop_rule": it_block.get("stop_rule", "residual"),
-        },
+        # store_all only decides which iterates stay in memory
+        "iteration_config": {k: v for k, v in asdict(itconfig).items() if k != "store_all"},
         "seed": cfg.get("seed"),
     }
 
@@ -317,12 +314,13 @@ def _run_engine(cfg: dict, problem, factor, seed: Field, itconfig: IterationConf
     raise ConfigError(f"iteration.engine: unknown engine {engine!r}")
 
 
-def _solve_outputs(outdir: Path, cfg: dict, problem, factor, result: SolveResult, engine: str) -> None:
+def _solve_outputs(outdir: Path, cfg: dict, problem, factor, result: SolveResult, engine: str,
+                   itconfig: IterationConfig) -> None:
     write_trace_csv(outdir / "trace.csv", result)
     write_profile_csv(outdir / "profile.csv", result.final)
     if isinstance(problem.grid, Grid2D):
         write_cross_sections(outdir, result.final)
-    _json_dump(outdir / "summary.json", summary_payload(cfg, problem, factor, result, engine))
+    _json_dump(outdir / "summary.json", summary_payload(cfg, problem, factor, result, engine, itconfig))
 
 
 def cmd_solve(cfg: dict, outdir: Path) -> int:
@@ -331,7 +329,7 @@ def cmd_solve(cfg: dict, outdir: Path) -> int:
     itconfig = build_iteration_config(cfg)
     seed = build_seed(cfg, problem)
     result, engine = _run_engine(cfg, problem, factor, seed, itconfig)
-    _solve_outputs(outdir, cfg, problem, factor, result, engine)
+    _solve_outputs(outdir, cfg, problem, factor, result, engine, itconfig)
     return 0
 
 
@@ -365,7 +363,10 @@ def cmd_spectrum(cfg: dict, outdir: Path) -> int:
 
     state, result, engine = _resolve_state(cfg, problem, factor, itconfig)
     if result is not None:
-        _solve_outputs(outdir, cfg, problem, factor, result, engine)
+        _solve_outputs(outdir, cfg, problem, factor, result, engine, itconfig)
+        if result.status == COLLAPSED:
+            raise RuntimeError(f"the {engine} solve collapsed to the trivial state u = 0; "
+                               "its spectra say nothing about a traveling wave")
 
     seed = None
     if "seed" in cfg:
@@ -428,7 +429,8 @@ def cmd_continue(cfg: dict, outdir: Path) -> int:
         if i > 0:
             stage_cfg["seed"] = {"kind": "warm_start",
                                  "from_stage": res.stages[i - 1].parameter_value}
-        _solve_outputs(sub, stage_cfg, stage_problem, stage_factor, stage.result, "stabilized")
+        _solve_outputs(sub, stage_cfg, stage_problem, stage_factor, stage.result, "stabilized",
+                       itconfig)
         stage_index.append({
             "directory": sub.name,
             "Gamma": stage.parameter_value,
@@ -472,7 +474,7 @@ def cmd_orbital(cfg: dict, outdir: Path) -> int:
         result = solve(problem, factor, seed, itconfig)
         run_cfg = dict(cfg)
         run_cfg["seed"] = {"kind": "exact_perturbed", "eps1": eps1, "eps2": eps2}
-        _solve_outputs(sub, run_cfg, problem, factor, result, "stabilized")
+        _solve_outputs(sub, run_cfg, problem, factor, result, "stabilized", itconfig)
         fit = diagnostics.orbit_match(result.final, params)
         payload = fit.to_json_dict()
         payload["eps1"], payload["eps2"] = eps1, eps2

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .linops import real_inner
-from .problems import ProblemModel
+from .problems import OperatorPair, ProblemModel
 from .spectral import Field
 
 
@@ -105,13 +105,12 @@ class StabilizingFactor:
     gamma: float
     degree: float  # q
     problem: ProblemModel
-    _ratio: Callable[[Field], float]
+    _ratio: Callable[[OperatorPair], float]
     _gradient: Callable[[Field], Callable[[Field], float]]
 
-    def __call__(self, u: Field) -> float:
-        return _power(self._ratio(u), self.gamma)
-
-    evaluate = __call__
+    def __call__(self, u: Field, pair: OperatorPair | None = None) -> float:
+        """s(u); `pair` is a precomputed `problem.pair(u)` to evaluate from."""
+        return _power(self._ratio(self.problem.pair(u) if pair is None else pair), self.gamma)
 
     def gradient(self, u: Field) -> Callable[[Field], float]:
         """Directional-derivative functional v -> grad s(u) . v."""
@@ -139,24 +138,26 @@ def inner_factor(f, gamma, problem: ProblemModel, allow_marginal: bool = False,
     else:
         descriptor = f"inner:f={fmap.name}:{_format_gamma(gamma)}"
 
-    def parts(u: Field):
-        Lu = problem.apply_L(u)
-        Nu = problem.apply_N(u)
-        fu = u.with_values(fmap.apply(u.values))
-        num = real_inner(Lu, fu)
-        den = real_inner(Nu, fu)
-        if abs(den) <= 1e-14 * Nu.norm * fu.norm:
+    def parts(pair: OperatorPair):
+        # f = identity pairs with u's own coefficients; other maps cost one transform
+        fc = pair.uc if fmap is F_MAPS["identity"] else pair.coefficients(fmap.apply(pair.u.values))
+        num = pair.inner(pair.Lc, fc)
+        den = pair.inner(pair.Nc, fc)
+        if abs(den) <= 1e-14 * pair.norm(pair.Nc) * pair.norm(fc):
             raise DegenerateDenominatorError(
                 f"|<N(u), f(u)>| = {abs(den):.3g} is degenerate for {descriptor}"
             )
-        return Lu, Nu, fu, num, den
+        return num, den
 
-    def ratio(u: Field) -> float:
-        _, _, _, num, den = parts(u)
+    def ratio(pair: OperatorPair) -> float:
+        num, den = parts(pair)
         return num / den
 
     def gradient(u: Field) -> Callable[[Field], float]:
-        Lu, Nu, fu, num, den = parts(u)
+        pair = problem.pair(u)
+        num, den = parts(pair)
+        Lu, Nu = pair.field(pair.Lc), pair.field(pair.Nc)
+        fu = u.with_values(fmap.apply(u.values))
         R = num / den
         s_scale = _ratio_power_derivative(R, gamma)
 
@@ -247,14 +248,14 @@ def norm_factor(r, gamma, problem: ProblemModel, allow_marginal: bool = False) -
     def vec_norm(field: Field) -> float:
         return float(np.linalg.norm(field.values.ravel(), ord=r_val))
 
-    def ratio(u: Field) -> float:
-        den = vec_norm(problem.apply_N(u))
+    def ratio(pair: OperatorPair) -> float:
+        den = vec_norm(pair.field(pair.Nc))
         if den <= 1e-300:
             raise DegenerateDenominatorError(f"||N(u)||_{r_name} = 0 for {descriptor}")
-        return vec_norm(problem.apply_L(u)) / den
+        return vec_norm(pair.field(pair.Lc)) / den
 
     def evaluate(u: Field) -> float:
-        return _power(ratio(u), gamma)
+        return _power(ratio(problem.pair(u)), gamma)
 
     def gradient(u: Field) -> Callable[[Field], float]:
         base = u
@@ -275,11 +276,6 @@ def norm_factor(r, gamma, problem: ProblemModel, allow_marginal: bool = False) -
         return directional
 
     return StabilizingFactor(descriptor, "norm", gamma, q, problem, ratio, gradient)
-
-
-def factor_gradient(factor: StabilizingFactor, u: Field) -> Callable[[Field], float]:
-    """grad s(u) as a directional linear functional v -> grad s(u) . v."""
-    return factor.gradient(u)
 
 
 def from_descriptor(descriptor: str, problem: ProblemModel, allow_marginal: bool = False) -> StabilizingFactor:

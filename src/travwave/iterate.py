@@ -5,7 +5,8 @@ stabilized family cannot reach.
 The residual monitor RE_n = ||L u_n - N(u_n)|| (Euclidean over node values,
 realified on complex fields) is recorded every iteration together with the
 factor discrepancy |s(u_n) - 1| and ||u_n||.  Divergence is a reported
-outcome, never an exception.
+outcome, never an exception; so is a collapse, a run that converges to the
+trivial solution u = 0 (final norm below COLLAPSE_RATIO times the first).
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ from .spectral import Field
 CONVERGED = "converged"
 DIVERGED = "diverged"
 MAX_ITERATIONS = "max_iterations"
+COLLAPSED = "collapsed"  # converged to the trivial state u = 0
+
+COLLAPSE_RATIO = 1e-8
 
 _DENSE_NEWTON_LIMIT = 2048
 
@@ -92,33 +96,36 @@ class SolveResult:
 
 def residual(problem: ProblemModel, u: Field) -> float:
     """RE = ||L u - N(u)||, Euclidean; pinned modes contribute exactly zero."""
-    diff = problem.apply_L(u) - problem.apply_N(u)
-    return diff.norm
+    return problem.pair(u).residual
 
 
 def classical_step(problem: ProblemModel, u: Field) -> Field:
     """One unstabilized step: solve L u' = N(u), pinned modes zeroed."""
-    return problem.solve_L(problem.apply_N(u))
+    return problem.pair(u).step(1.0)[0]
 
 
 def stabilized_step(problem: ProblemModel, factor: StabilizingFactor, u: Field) -> tuple[Field, float]:
     """One stabilized step: solve L u' = s(u) N(u); returns (u', s(u))."""
-    s_val = factor(u)
-    return problem.solve_L(s_val * problem.apply_N(u)), s_val
+    pair = problem.pair(u)
+    s_val = factor(u, pair)
+    return pair.step(s_val)[0], s_val
 
 
 def solve(problem: ProblemModel, factor: StabilizingFactor | None, u0: Field,
           config: IterationConfig | None = None) -> SolveResult:
     """Iterate until the stop rule, the divergence guard, or max_iterations.
 
-    With factor=None this runs the classical map (for divergence
-    demonstrations); the factor-discrepancy channel records NaN.
+    Each iteration evaluates one (L u, N(u)) pair in the problem's
+    coefficients and takes the residual, ||u||, the factor and the next
+    iterate from it.  With factor=None this runs the classical map (for
+    divergence demonstrations); the factor-discrepancy channel records NaN.
     """
     cfg = config or IterationConfig()
     if u0.norm == 0.0 or not np.all(np.isfinite(u0.values)):
         raise ValueError("seed must be nonzero and finite")
     u = problem.project_pinned(u0)
     first = u
+    uc = None
 
     res_hist: list[float] = []
     fac_hist: list[float] = []
@@ -127,10 +134,11 @@ def solve(problem: ProblemModel, factor: StabilizingFactor | None, u0: Field,
     status = MAX_ITERATIONS
 
     for n in range(cfg.max_iterations + 1):
-        re_n = residual(problem, u)
+        pair = problem.pair(u, uc)
+        re_n = pair.residual
         factor_broke = False
         try:
-            s_val = factor(u) if factor is not None else np.nan
+            s_val = factor(u, pair) if factor is not None else np.nan
         except ArithmeticError:
             # factor breakdown: the iterate left the factor's domain
             s_val = np.nan
@@ -138,7 +146,7 @@ def solve(problem: ProblemModel, factor: StabilizingFactor | None, u0: Field,
         disc = abs(s_val - 1.0)
         res_hist.append(re_n)
         fac_hist.append(disc)
-        norm_hist.append(u.norm)
+        norm_hist.append(pair.norm(pair.uc))
 
         if (not np.isfinite(re_n) or re_n > cfg.divergence_guard
                 or norm_hist[-1] > cfg.divergence_guard or factor_broke):
@@ -154,11 +162,7 @@ def solve(problem: ProblemModel, factor: StabilizingFactor | None, u0: Field,
             status = MAX_ITERATIONS
             break
 
-        if factor is None:
-            u_next = classical_step(problem, u)
-        else:
-            u_next = problem.solve_L(s_val * problem.apply_N(u))
-        u = u_next
+        u, uc = pair.step(1.0 if factor is None else s_val)
         if stored is not None:
             stored.append(u)
         if not np.all(np.isfinite(u.values)):
@@ -172,7 +176,7 @@ def solve(problem: ProblemModel, factor: StabilizingFactor | None, u0: Field,
         residuals=np.asarray(res_hist),
         factor_discrepancies=np.asarray(fac_hist),
         norms=np.asarray(norm_hist),
-        status=status,
+        status=_unless_collapsed(status, norm_hist),
         first=first,
         last=u,
         all_iterates=stored,
@@ -257,12 +261,18 @@ def newton_solve(problem: ProblemModel, u0: Field, config: IterationConfig | Non
         residuals=np.asarray(res_hist),
         factor_discrepancies=np.full(len(res_hist), np.nan),
         norms=np.asarray(norm_hist),
-        status=status,
+        status=_unless_collapsed(status, norm_hist),
         first=first,
         last=final,
         all_iterates=stored,
     )
     return SolveResult(final=final, trace=trace)
+
+
+def _unless_collapsed(status: str, norms: list[float]) -> str:
+    if status == CONVERGED and norms[-1] < COLLAPSE_RATIO * norms[0]:
+        return COLLAPSED
+    return status
 
 
 def _newton_direction(jac_action, g: np.ndarray, dim: int, tol: float) -> np.ndarray | None:

@@ -9,7 +9,9 @@ dense factorizations happen once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dataclass_field, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -24,6 +26,56 @@ class SingularOperatorError(ValueError):
     """The linear operator factorization is numerically singular."""
 
 
+@dataclass(frozen=True, eq=False)
+class FourierSymbol:
+    """L and N of a Fourier-collocation family in transform form,
+    (L u)^ = symbol * u^ and N(u)^ = multiplier * g(u)^, with the pointwise
+    nonlinearity g and its directional derivative g_jac(u, v) = g'(u) v.
+    A multiplier of None means N = g, applied at the nodes.
+
+    Coefficients are numpy.fft's: the half spectrum of `rfftn` for real
+    fields, the full spectrum of `fftn` for complex ones.  `pinned` marks the
+    modes held at zero, where the symbol vanishes.
+    """
+
+    shape: tuple[int, ...]
+    real: bool
+    symbol: np.ndarray
+    multiplier: np.ndarray | None
+    g: Callable[[np.ndarray], np.ndarray]
+    g_jac: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    pinned: np.ndarray | None = None
+
+    @cached_property
+    def inverse_symbol(self) -> np.ndarray:
+        """1/symbol, and 0 on the pinned modes."""
+        free = True if self.pinned is None else ~self.pinned
+        return np.divide(1.0, self.symbol, out=np.zeros_like(self.symbol), where=free)
+
+    def forward(self, values: np.ndarray) -> np.ndarray:
+        return np.fft.rfftn(values) if self.real else np.fft.fftn(values)
+
+    def inverse(self, coeffs: np.ndarray) -> np.ndarray:
+        if self.real:
+            return np.fft.irfftn(coeffs, s=self.shape, axes=range(len(self.shape)))
+        return np.fft.ifftn(coeffs)
+
+    def inner(self, a: np.ndarray, b: np.ndarray) -> float:
+        """Re <A, B> of the fields with coefficients a and b, by Parseval."""
+        total = np.vdot(a, b).real
+        if self.real:
+            # interior half-spectrum columns also stand for their conjugate twins
+            total = 2.0 * total - np.vdot(a[..., 0], b[..., 0]).real - np.vdot(a[..., -1], b[..., -1]).real
+        return float(total) / math.prod(self.shape)
+
+    def multiply(self, multiplier, values: np.ndarray) -> np.ndarray:
+        """Apply a Fourier multiplier to node values."""
+        return self.inverse(multiplier * self.forward(values))
+
+    def multiply_N(self, values: np.ndarray) -> np.ndarray:
+        return values if self.multiplier is None else self.multiply(self.multiplier, values)
+
+
 @dataclass(frozen=True)
 class ProblemModel:
     """Homogeneous system L u = N(u) on a periodic grid.
@@ -33,7 +85,9 @@ class ProblemModel:
     (Hadamard powers); such problems carry invariant phase channels and their
     spectra are reported on the state's channel rather than on R^{2m}.
     `seed_phase` is the unit phase of the channel carrying the localized
-    states (1 for real-valued problems).
+    states (1 for real-valued problems).  `fourier` describes the Fourier
+    families in transform form; the stabilized loop then runs on their
+    coefficients instead of calling the four operators.
     """
 
     name: str
@@ -44,24 +98,28 @@ class ProblemModel:
     solve_L: Callable[[Field], Field]
     apply_N: Callable[[Field], Field]
     jacN_action: Callable[[Field, Field], Field] | None = None
-    pinned_modes: tuple = ()
     exact_solution: Callable[..., Field] | None = None
     symmetries: tuple[str, ...] = ()
     seed_phase: complex = 1.0
     jac_complex_linear: bool = False
     params: dict = dataclass_field(default_factory=dict)
+    fourier: FourierSymbol | None = None
 
     def project_pinned(self, u: Field) -> Field:
         """Zero the pinned Fourier modes (no-op when none are declared)."""
-        if not self.pinned_modes:
+        fs = self.fourier
+        if fs is None or fs.pinned is None:
             return u
-        uh = np.fft.fftn(u.values)
-        for idx in self.pinned_modes:
-            uh[idx] = 0.0
-        out = np.fft.ifftn(uh)
-        if not u.is_complex:
-            out = out.real
-        return u.with_values(out)
+        return u.with_values(fs.multiply(~fs.pinned, u.values))
+
+    def pair(self, u: Field, uc: np.ndarray | None = None) -> OperatorPair:
+        """Evaluate (L u, N(u)) once; `uc` passes u's coefficients when known."""
+        fs = self.fourier
+        if fs is None:
+            return OperatorPair(self, u, u.values, self.apply_L(u).values, self.apply_N(u).values)
+        uc = fs.forward(u.values) if uc is None else uc
+        Nc = fs.forward(fs.g(u.values))
+        return OperatorPair(self, u, uc, fs.symbol * uc, Nc if fs.multiplier is None else fs.multiplier * Nc)
 
     def linearization_space(self, at: Field | None = None) -> linops.VectorSpace:
         """Real vector space the linearization acts on at the given state.
@@ -81,6 +139,53 @@ class ProblemModel:
                 if re <= 1e-12 * nrm:
                     return linops.phase_channel_space(self.grid, 1.0j)
         return linops.realified_space(self.grid)
+
+
+@dataclass(frozen=True, eq=False)
+class OperatorPair:
+    """One evaluation of (L u, N(u)) at the iterate u, as coefficient arrays:
+    the FourierSymbol's coefficients on problems that carry one, the node
+    values otherwise.  The residual, ||u||, the factors' inner products and
+    the next stabilized iterate all come from it.
+    """
+
+    problem: ProblemModel
+    u: Field
+    uc: np.ndarray
+    Lc: np.ndarray
+    Nc: np.ndarray
+
+    def inner(self, a: np.ndarray, b: np.ndarray) -> float:
+        """Re <A, B> of the fields A, B with coefficients a, b."""
+        fs = self.problem.fourier
+        return float(np.real(np.vdot(a, b))) if fs is None else fs.inner(a, b)
+
+    def norm(self, a: np.ndarray) -> float:
+        fs = self.problem.fourier
+        return float(np.linalg.norm(a.ravel())) if fs is None else math.sqrt(fs.inner(a, a))
+
+    def coefficients(self, values: np.ndarray) -> np.ndarray:
+        fs = self.problem.fourier
+        return values if fs is None else fs.forward(values)
+
+    def field(self, coeffs: np.ndarray) -> Field:
+        """The field with the given coefficients."""
+        fs = self.problem.fourier
+        return self.u.with_values(coeffs if fs is None else fs.inverse(coeffs))
+
+    @property
+    def residual(self) -> float:
+        """||L u - N(u)||, Euclidean over node values."""
+        return self.norm(self.Lc - self.Nc)
+
+    def step(self, s: float) -> tuple[Field, np.ndarray]:
+        """The solution u' of L u' = s N(u), with its coefficients."""
+        fs = self.problem.fourier
+        if fs is None:
+            nxt = self.problem.solve_L(self.u.with_values(self.Nc * s))
+            return nxt, nxt.values
+        coeffs = (self.Nc * s) * fs.inverse_symbol
+        return self.u.with_values(fs.inverse(coeffs)), coeffs
 
 
 @dataclass(frozen=True)
@@ -216,40 +321,26 @@ def nls_soliton(params: SolitonParameters, grid: Grid1D) -> ProblemModel:
     """
     sig = params.sigma
     k = grid.wavenumbers
-    symbol = -(k**2) - params.lambda1 + params.lambda2 * k
 
-    def apply_L(u: Field) -> Field:
-        return u.with_values(np.fft.ifft(symbol * np.fft.fft(u.values)))
+    def g(v: np.ndarray) -> np.ndarray:
+        return -np.abs(v) ** (2 * sig) * v
 
-    def solve_L(b: Field) -> Field:
-        return b.with_values(np.fft.ifft(np.fft.fft(b.values) / symbol))
-
-    def apply_N(u: Field) -> Field:
-        v = u.values
-        return u.with_values(-np.abs(v) ** (2 * sig) * v)
-
-    def jacN(u: Field, w: Field) -> Field:
-        uv, wv = u.values, w.values
+    def g_jac(uv: np.ndarray, wv: np.ndarray) -> np.ndarray:
         au = np.abs(uv)
-        return w.with_values(
-            -(sig + 1.0) * au ** (2 * sig) * wv
-            - sig * au ** (2 * sig - 2) * uv * uv * np.conj(wv)
-        )
+        return -(sig + 1.0) * au ** (2 * sig) * wv - sig * au ** (2 * sig - 2) * uv * uv * np.conj(wv)
 
+    fourier = FourierSymbol(grid.shape, False, -(k**2) - params.lambda1 + params.lambda2 * k, None, g, g_jac)
     base = replace(params, x0=0.0, theta0=0.0)
 
     def exact(x0: float = 0.0, theta0: float = 0.0) -> Field:
         return exact_soliton_profile(replace(base, x0=x0, theta0=theta0), grid)
 
-    return ProblemModel(
+    return _fourier_model(
+        fourier,
         name="nls_soliton",
         degree=2.0 * sig + 1.0,
         grid=grid,
         is_complex=True,
-        apply_L=apply_L,
-        solve_L=solve_L,
-        apply_N=apply_N,
-        jacN_action=jacN,
         exact_solution=exact,
         symmetries=("gauge", "translation_x"),
         params={"sigma": sig, "lambda1": params.lambda1, "lambda2": params.lambda2},
@@ -269,40 +360,30 @@ def benjamin_lump(gamma_cap: float, sound_speed: float, grid: Grid2D) -> Problem
         raise ValueError(f"sound_speed must be positive, got {sound_speed}")
     if gamma_cap < 0:
         raise ValueError(f"Gamma must be nonnegative, got {gamma_cap}")
-    kx, kz = grid.kx, grid.kz
+    kx = grid.kx
+    kz = np.abs(grid.kz[:, : grid.grid_z.point_count // 2 + 1])  # rfftn's half spectrum
     symbol = kx**2 * (sound_speed + 2.0 * gamma_cap * np.abs(kx) + kx**2) + kz**2
-    nonzero = symbol != 0.0
-    kx2 = kx**2
-
-    def apply_L(u: Field) -> Field:
-        return u.with_values(np.fft.ifft2(symbol * np.fft.fft2(u.values)).real)
-
-    def solve_L(b: Field) -> Field:
-        bh = np.fft.fft2(b.values)
-        out = np.zeros_like(bh)
-        out[nonzero] = bh[nonzero] / symbol[nonzero]
-        return b.with_values(np.fft.ifft2(out).real)
-
-    def apply_N(u: Field) -> Field:
-        v = u.values
-        return u.with_values(np.fft.ifft2(kx2 * np.fft.fft2(v * v)).real)
-
-    def jacN(u: Field, w: Field) -> Field:
-        return w.with_values(np.fft.ifft2(kx2 * np.fft.fft2(2.0 * u.values * w.values)).real)
-
-    return ProblemModel(
+    fourier = FourierSymbol(grid.shape, True, symbol, kx**2, lambda v: v * v,
+                            lambda u, w: 2.0 * u * w, pinned=symbol == 0.0)
+    return _fourier_model(
+        fourier,
         name="benjamin_lump",
         degree=2.0,
         grid=grid,
         is_complex=False,
-        apply_L=apply_L,
-        solve_L=solve_L,
-        apply_N=apply_N,
-        jacN_action=jacN,
-        pinned_modes=((0, 0),),
         symmetries=("translation_x", "translation_z"),
         params={"Gamma": gamma_cap, "sound_speed": sound_speed},
     )
+
+
+def _fourier_model(fs: FourierSymbol, **fields) -> ProblemModel:
+    """A model whose four operators are derived from its FourierSymbol."""
+    return ProblemModel(
+        apply_L=lambda u: u.with_values(fs.multiply(fs.symbol, u.values)),
+        solve_L=lambda b: b.with_values(fs.multiply(fs.inverse_symbol, b.values)),
+        apply_N=lambda u: u.with_values(fs.multiply_N(fs.g(u.values))),
+        jacN_action=lambda u, w: w.with_values(fs.multiply_N(fs.g_jac(u.values, w.values))),
+        fourier=fs, **fields)
 
 
 def gaussian_seed(grid: Grid, amplitude: float, width: float, antisymmetric: bool = False) -> Field:

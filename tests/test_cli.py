@@ -5,7 +5,22 @@ import math
 import numpy as np
 import pytest
 
-from travwave.cli import load_recipe, main
+import travwave as tw
+from travwave.cli import (
+    FLOAT_FMT,
+    build_factor,
+    build_iteration_config,
+    build_problem,
+    load_recipe,
+    main,
+    summary_payload,
+    write_cross_sections,
+    write_profile_csv,
+    write_trace_csv,
+)
+from travwave.spectral import Field, Grid1D, Grid2D
+
+RECIPES = ["table1_col12", "table1_col34", "table2", "fig2", "fig67"]
 
 
 def soliton_config(outdir, **overrides):
@@ -197,10 +212,8 @@ class TestOrbital:
 
 
 class TestRecipes:
-    @pytest.mark.parametrize("name", ["table1_col12", "table1_col34", "table2",
-                                      "fig2", "fig67"])
+    @pytest.mark.parametrize("name", RECIPES)
     def test_recipes_parse_and_build(self, name):
-        from travwave.cli import build_factor, build_iteration_config, build_problem
         cfg = load_recipe(name)
         problem = build_problem(cfg)
         build_factor(cfg, problem)
@@ -217,3 +230,139 @@ class TestRecipes:
         assert spec["moduli"][1] == pytest.approx(0.70640, abs=5e-3)
         summary = json.loads((out / "summary.json").read_text())
         assert summary["status"] == "converged"
+
+
+class TestSummary:
+    @staticmethod
+    def legacy_iteration_config(cfg):
+        """The block as written from the raw config with hard-coded defaults."""
+        block = cfg.get("iteration", {})
+        return {
+            "max_iterations": block.get("max_iterations", 500),
+            "residual_tolerance": block.get("residual_tolerance", 1e-12),
+            "factor_tolerance": block.get("factor_tolerance", 1e-13),
+            "divergence_guard": block.get("divergence_guard", 1e8),
+            "stop_rule": block.get("stop_rule", "residual"),
+        }
+
+    @pytest.mark.parametrize("name", RECIPES)
+    def test_summary_bytes_unchanged_for_recipes(self, name):
+        cfg = load_recipe(name)
+        problem = build_problem(cfg)
+        factor = build_factor(cfg, problem)
+        seed = tw.gaussian_seed(problem.grid, 1.0, 2.0)
+        result = tw.solve(problem, factor, problem.project_pinned(seed),
+                          tw.IterationConfig(max_iterations=1))
+        payload = summary_payload(cfg, problem, factor, result, "stabilized",
+                                  build_iteration_config(cfg))
+        legacy = dict(payload, iteration_config=self.legacy_iteration_config(cfg))
+        assert (json.dumps(payload, indent=2, sort_keys=True)
+                == json.dumps(legacy, indent=2, sort_keys=True))
+
+    def test_parsed_config_is_written(self, tmp_path):
+        out = tmp_path / "run"
+        cfg = soliton_config(out)
+        cfg["iteration"] = {"max_iterations": 40, "residual_tolerance": 1e-11,
+                            "factor_tolerance": 1e-10, "stop_rule": "residual_and_factor",
+                            "store_all": True}
+        assert main(["solve", "--config", write_config(tmp_path, cfg)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["iteration_config"] == {
+            "max_iterations": 40, "residual_tolerance": 1e-11, "factor_tolerance": 1e-10,
+            "divergence_guard": 1e8, "stop_rule": "residual_and_factor"}
+
+
+class TestWriters:
+    """The writers format one string; csv.writer row loops are the reference."""
+
+    @staticmethod
+    def reference_profile(path, field):
+        vals = np.asarray(field.values)
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh)
+            if vals.ndim == 1:
+                w.writerow(["x", "re", "im"])
+                for xj, vj in zip(field.grid.nodes, vals):
+                    w.writerow([FLOAT_FMT % xj, FLOAT_FMT % vj.real, FLOAT_FMT % vj.imag])
+            else:
+                w.writerow(["x", "z", "re", "im"])
+                X, Z = field.grid.mesh
+                for xj, zj, vj in zip(X.ravel(), Z.ravel(), vals.ravel()):
+                    w.writerow([FLOAT_FMT % xj, FLOAT_FMT % zj,
+                                FLOAT_FMT % vj.real, FLOAT_FMT % vj.imag])
+
+    @staticmethod
+    def reference_rows(path, header, rows):
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            w.writerows(rows)
+
+    def test_profile_matches_csv_writer(self, tmp_path):
+        rng = np.random.default_rng(5)
+        g1 = Grid1D(7.3, 16)
+        complex_1d = Field(g1, rng.normal(size=16) * 1e-7 + 1j * rng.normal(size=16))
+        complex_1d.values[3] = -0.0 + 0.0j
+        g2 = Grid2D(Grid1D(3.0, 8), Grid1D(np.pi, 6))
+        real_2d = Field(g2, rng.normal(size=(8, 6)) * 10.0 ** rng.integers(-20, 20, size=(8, 6)))
+        for field in (complex_1d, real_2d):
+            write_profile_csv(tmp_path / "new.csv", field)
+            self.reference_profile(tmp_path / "ref.csv", field)
+            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_trace_and_cross_sections_match_csv_writer(self, tmp_path):
+        res = np.array([1.0, 0.25, np.inf])
+        disc = np.array([np.nan, 1 / 3, np.nan])
+        norms = np.array([2.0, 1e300, np.inf])
+        grid = Grid2D(Grid1D(3.0, 8), Grid1D(np.pi, 6))
+        field = Field(grid, np.random.default_rng(6).normal(size=(8, 6)))
+        trace = tw.IterationTrace(res, disc, norms, "diverged", field, field)
+        write_trace_csv(tmp_path / "trace.csv", tw.SolveResult(field, trace))
+        self.reference_rows(tmp_path / "ref_trace.csv", ["iter", "residual", "factor_discrepancy", "norm"],
+                            [[n, FLOAT_FMT % res[n], FLOAT_FMT % disc[n], FLOAT_FMT % norms[n]]
+                             for n in range(3)])
+        assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "ref_trace.csv").read_bytes()
+
+        write_cross_sections(tmp_path, field)
+        i, j = np.unravel_index(np.argmax(np.abs(field.values)), field.values.shape)
+        cuts = {"profile_xcut.csv": (["x", "value"], grid.grid_x.nodes, field.values[:, j]),
+                "profile_zcut.csv": (["z", "value"], grid.grid_z.nodes, field.values[i, :])}
+        for name, (header, nodes, values) in cuts.items():
+            self.reference_rows(tmp_path / "ref.csv", header,
+                                [[FLOAT_FMT % a, FLOAT_FMT % b] for a, b in zip(nodes, values)])
+            assert (tmp_path / name).read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+class TestBadProfiles:
+    @pytest.mark.parametrize("content", ["", "x,real,imag\r\n0,1,0\r\n"])
+    def test_seed_profile_without_re_im_columns_exits_2(self, tmp_path, capsys, content):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(content)
+        cfg = soliton_config(tmp_path / "x", seed={"kind": "file", "path": str(bad)})
+        assert main(["solve", "--config", write_config(tmp_path, cfg)]) == 2
+        assert "'re' and 'im'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", ["", "x,value\r\n0,1\r\n"])
+    def test_state_profile_without_re_im_columns_exits_2(self, tmp_path, content):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(content)
+        cfg = soliton_config(tmp_path / "x")
+        cfg["diagnostics"] = {"state": "file", "state_path": str(bad)}
+        assert main(["spectrum", "--config", write_config(tmp_path, cfg)]) == 2
+
+
+class TestCollapse:
+    def test_newton_collapse_to_zero_is_reported(self, tmp_path, capsys):
+        # a narrower antisymmetric seed sends the Newton solve to u = 0
+        cfg = load_recipe("table1_col34")
+        cfg["seed"]["width"] *= 0.9
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["solve", "--config", cfg_path, "--out", str(tmp_path / "solve")]) == 0
+        summary = json.loads((tmp_path / "solve" / "summary.json").read_text())
+        assert summary["status"] == "collapsed"
+        assert summary["final_residual"] <= 1e-12
+
+        assert main(["spectrum", "--config", cfg_path, "--out", str(tmp_path / "spec")]) == 3
+        assert "collapsed" in capsys.readouterr().err
+        summary = json.loads((tmp_path / "spec" / "summary.json").read_text())
+        assert summary["status"] == "collapsed"
