@@ -358,8 +358,9 @@ def cmd_spectrum(cfg: dict, outdir: Path) -> int:
     problem = build_problem(cfg)
     factor = build_factor(cfg, problem)
     itconfig = build_iteration_config(cfg)
-    diag = cfg.get("diagnostics", {})
-    k = int(diag.get("spectrum_k", 6))
+    k = cfg.get("diagnostics", {}).get("spectrum_k", 6)
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+        raise ConfigError(f"diagnostics.spectrum_k: expected a positive integer, got {k!r}")
 
     state, result, engine = _resolve_state(cfg, problem, factor, itconfig)
     if result is not None:
@@ -380,8 +381,11 @@ def cmd_spectrum(cfg: dict, outdir: Path) -> int:
     _json_dump(outdir / "spectrum_F.json", spec_F.to_json_dict())
 
     hypothesis = dict(spec_S.hypothesis or {})
+    unverified = [name for name, spec in (("S", spec_S), ("F'", spec_F)) if not spec.verified]
     hypothesis["verdict"] = (
-        "hypotheses (i)-(ii) satisfied" if hypothesis.get("satisfied")
+        f"eigenpairs of {' and '.join(unverified)} unverified; hypotheses not judged"
+        if unverified
+        else "hypotheses (i)-(ii) satisfied" if hypothesis.get("satisfied")
         else "hypothesis (ii) violated" if not hypothesis.get("ii_rest_within_unit_modulus", True)
         else "hypothesis (i) violated"
     )

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 import travwave as tw
 from travwave.cli import (
@@ -151,6 +152,43 @@ class TestSpectrum:
         cfg["diagnostics"] = {"state": "file", "state_path": str(tmp_path / "absent.csv")}
         cfg_path = write_config(tmp_path, cfg)
         assert main(["spectrum", "--config", cfg_path]) == 3
+
+    def test_table2_spectra_byte_identical_across_runs(self, tmp_path):
+        for run in ("a", "b"):
+            assert main(["spectrum", "--recipe", "table2", "--out", str(tmp_path / run)]) == 0
+        for name in ("spectrum_S.json", "spectrum_F.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        spec = json.loads((tmp_path / "a" / "spectrum_S.json").read_text())
+        assert spec["solver"] == "arnoldi"
+        assert spec["verified"] is True
+
+    def test_perturbed_eigenvectors_are_reported_unverified(self, tmp_path, monkeypatch):
+        arpack = scipy.sparse.linalg.eigs
+
+        def perturbed(*args, **kwargs):
+            vals, vecs = arpack(*args, **kwargs)
+            return vals, vecs + 1e-3 * np.random.default_rng(1).standard_normal(vecs.shape)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigs", perturbed)
+        out = tmp_path / "spec"
+        assert main(["spectrum", "--recipe", "table2", "--out", str(out)]) == 0
+        for name in ("spectrum_S.json", "spectrum_F.json"):
+            spec = json.loads((out / name).read_text())
+            assert spec["verified"] is False
+            assert max(spec["eigen_residuals"]) > 1e-8
+        hyp = json.loads((out / "hypothesis_report.json").read_text())
+        assert hyp["eigenpairs_verified"] is False
+        assert hyp["satisfied"] is False
+        assert "unverified" in hyp["verdict"]
+        assert "satisfied" not in hyp["verdict"]
+
+    @pytest.mark.parametrize("k", [0, -1, "abc", 2.5])
+    def test_bad_spectrum_k_exits_2(self, tmp_path, capsys, k):
+        cfg = load_recipe("table2")
+        cfg["diagnostics"]["spectrum_k"] = k
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["spectrum", "--config", cfg_path, "--out", str(tmp_path / "spec")]) == 2
+        assert "spectrum_k" in capsys.readouterr().err
 
 
 class TestContinue:

@@ -2,10 +2,11 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import travwave as tw
-from travwave.diagnostics import hypothesis_verdicts
-from travwave.linops import real_inner
+from travwave.diagnostics import f_operator, hypothesis_verdicts, s_operator
+from travwave.linops import assemble_matrix, real_inner
 from travwave.spectral import Field, Grid1D
 
 from conftest import make_synthetic_diagonal
@@ -58,6 +59,45 @@ class TestTopEigenvalues:
         assert report.solver == "dense"
         assert np.max(report.residuals) <= 1e-12
         assert np.allclose(np.sort(report.eigenvalues.real), np.sort(s_eigs), atol=1e-12)
+
+
+# (problem fixture, state fixture) of the three bundled spectrum recipes
+RECIPE_STATES = {
+    "table2": ("soliton_problem", "soliton_exact"),
+    "table1_col12": ("ground_state_problem", "ground_state_converged"),
+    "table1_col34": ("double_well_problem", "antisymmetric_state"),
+}
+
+
+@pytest.fixture(params=sorted(RECIPE_STATES))
+def recipe_state(request):
+    problem_name, state_name = RECIPE_STATES[request.param]
+    state = request.getfixturevalue(state_name)
+    return request.getfixturevalue(problem_name), getattr(state, "final", state)
+
+
+class TestRecipeSpectra:
+    def test_arnoldi_eigenpairs_verified_against_dense_matrix(self, recipe_state):
+        problem, state = recipe_state
+        factor = tw.petviashvili_factor("optimal", problem)
+        k = 6
+        for spec, (action, space) in (
+            (tw.iteration_matrix_spectrum(problem, state, k), s_operator(problem, state)),
+            (tw.jacobian_spectrum(problem, factor, state, k), f_operator(problem, factor, state)),
+        ):
+            assert spec.solver == "arnoldi"
+            assert spec.verified
+            assert np.max(spec.residuals) <= 1e-8
+            # the dense reference: the assembled matrix, not the oracle
+            A = assemble_matrix(action, space.dim)
+            V = spec.eigenvectors
+            matrix_residuals = (np.linalg.norm(A @ V - V * spec.eigenvalues, axis=0)
+                                / np.linalg.norm(V, axis=0))
+            assert np.max(matrix_residuals) <= 1e-8
+            dense = scipy.linalg.eigvals(A)
+            top = dense[np.argsort(-np.abs(dense), kind="stable")[:k]]
+            assert np.allclose(np.sort_complex(spec.eigenvalues), np.sort_complex(top),
+                               rtol=0.0, atol=1e-10)
 
 
 class TestJacobianAction:
