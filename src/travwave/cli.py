@@ -401,10 +401,10 @@ def cmd_continue(cfg: dict, outdir: Path) -> int:
     if problem_block.get("family") != "benjamin_lump":
         raise ConfigError("continuation.family: only benjamin_lump supports Gamma continuation")
     cont = _require(cfg, "continuation", "config")
-    values = tuple(float(v) for v in _require(cont, "values", "continuation"))
+    values = _require(cont, "values", "continuation")
     try:
-        path = HomotopyPath(values=values, max_bisections=int(cont.get("max_bisections", 4)))
-    except ValueError as exc:
+        path = HomotopyPath(values=tuple(values), max_bisections=cont.get("max_bisections", 4))
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"continuation: {exc}") from None
 
     grid = build_grid(problem_block)
@@ -413,7 +413,7 @@ def cmd_continue(cfg: dict, outdir: Path) -> int:
     sound_speed = float(_require(problem_block, "sound_speed", "problem"))
     family = lambda g: problems.benjamin_lump(g, sound_speed, grid)
 
-    base_problem = family(values[0])
+    base_problem = family(path.values[0])
     descriptor = _require(_require(cfg, "factor", "config"), "descriptor", "factor")
     try:
         factors.from_descriptor(descriptor, base_problem)  # validate early
@@ -463,10 +463,7 @@ def cmd_orbital(cfg: dict, outdir: Path) -> int:
         seed_block = cfg.get("seed", {})
         experiments = [{"eps1": seed_block.get("eps1", 0.0), "eps2": seed_block.get("eps2", 0.0)}]
 
-    pblock = cfg["problem"]
-    params = problems.SolitonParameters(sigma=float(pblock["sigma"]),
-                                        lambda1=float(pblock["lambda1"]),
-                                        lambda2=float(pblock["lambda2"]))
+    params = problems.SolitonParameters(**problem.params)
     exact = problem.exact_solution()
     index = []
     for exp in experiments:

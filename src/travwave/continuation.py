@@ -5,6 +5,7 @@ each stage from the previous converged profile; bisect the step on failure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from numbers import Integral
 from typing import Callable
 
 from . import factors as factors_mod
@@ -28,6 +29,8 @@ class HomotopyPath:
         diffs = [b - a for a, b in zip(vals, vals[1:])]
         if diffs and not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
             raise ValueError(f"path values must be strictly monotone, got {vals}")
+        if isinstance(self.max_bisections, bool) or not isinstance(self.max_bisections, Integral):
+            raise ValueError(f"max_bisections must be an integer, got {self.max_bisections!r}")
         if self.max_bisections < 0:
             raise ValueError("max_bisections must be nonnegative")
         object.__setattr__(self, "values", vals)

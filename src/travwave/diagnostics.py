@@ -14,9 +14,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse.linalg
-from scipy.optimize import linear_sum_assignment, minimize_scalar
 
 from .factors import StabilizingFactor
 from .linops import VectorSpace, assemble_matrix, real_inner
@@ -120,6 +117,7 @@ def top_eigenvalues(action: Callable[[np.ndarray], np.ndarray], dimension: int, 
     converged = True
     A = None
     if k < dimension - 1:
+        import scipy.sparse.linalg  # scipy loads on first use, not with travwave
         solver = "arnoldi"
         op = scipy.sparse.linalg.LinearOperator((dimension, dimension), matvec=action)
         v0 = np.random.default_rng(0).standard_normal(dimension)
@@ -129,6 +127,7 @@ def top_eigenvalues(action: Callable[[np.ndarray], np.ndarray], dimension: int, 
             eigvals, eigvecs = exc.eigenvalues, exc.eigenvectors
             converged = False
     else:
+        import scipy.linalg
         solver = "dense"
         A = assemble_matrix(action, dimension)
         eigvals, eigvecs = scipy.linalg.eig(A)
@@ -240,6 +239,7 @@ def _cluster_basis(report: SpectrumReport, indices: list[int], lam_c: complex,
     the non-normal matrix are nearly parallel.
     """
     if report.matrix is not None:
+        import scipy.linalg
         radius = 10 * unit_tol * max(1.0, abs(lam_c))
         T, Z, sdim = scipy.linalg.schur(
             report.matrix, output="complex",
@@ -300,6 +300,7 @@ def spectrum_shift_check(spec_S: SpectrumReport, spec_F: SpectrumReport,
     if n == 0:
         return ShiftCheckReport(True, 0.0, 0, tol, [])
 
+    from scipy.optimize import linear_sum_assignment
     cost = np.abs(expected[:, None] - actual[None, :])
     rows, cols = linear_sum_assignment(cost)
     pairs = [(complex(expected[i]), complex(actual[j]), float(cost[i, j]))
@@ -462,6 +463,7 @@ def orbit_match(U_f: Field, params: SolitonParameters) -> OrbitFit:
         prof = exact_soliton_profile(replace(base, x0=x0), grid)
         return float(np.linalg.norm(modulus - np.abs(prof.values)))
 
+    from scipy.optimize import minimize_scalar
     res = minimize_scalar(modulus_misfit, bounds=(x0_guess - 2 * h, x0_guess + 2 * h),
                           method="bounded", options={"xatol": 1e-13})
     x0 = float(res.x)

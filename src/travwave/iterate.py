@@ -12,9 +12,9 @@ trivial solution u = 0 (final norm below COLLAPSE_RATIO times the first).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from .factors import StabilizingFactor
 from .linops import assemble_matrix
@@ -41,6 +41,8 @@ class IterationConfig:
     store_all: bool = False
 
     def __post_init__(self):
+        if isinstance(self.max_iterations, bool) or not isinstance(self.max_iterations, Integral):
+            raise ValueError(f"max_iterations must be an integer, got {self.max_iterations!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.residual_tolerance <= 0 or self.factor_tolerance <= 0:
@@ -287,6 +289,7 @@ def _newton_direction(jac_action, g: np.ndarray, dim: int, tol: float) -> np.nda
             # symmetry-singular Jacobian: take the minimum-norm step
             step, *_ = np.linalg.lstsq(J, -g, rcond=1e-12)
         return step if np.all(np.isfinite(step)) else None
+    from scipy.sparse.linalg import LinearOperator, gmres  # loaded only for large systems
     op = LinearOperator((dim, dim), matvec=jac_action)
     step, info = gmres(op, -g, rtol=min(1e-6, tol / max(np.linalg.norm(g), 1e-300)),
                        atol=0.0, maxiter=400, restart=80)

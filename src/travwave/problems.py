@@ -15,8 +15,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import lu_factor, lu_solve
 
 from . import linops
 from .spectral import Field, Grid, Grid1D, Grid2D, diff_matrix
@@ -251,6 +249,9 @@ def nls_ground_state(potential, mu: float, grid: Grid1D) -> ProblemModel:
     and the localized branch lives on the imaginary axis (seed_phase = i);
     indefinite L additionally supports real-axis states.
     """
+    # scipy is imported where it is called: the Fourier families run on numpy alone
+    import scipy.linalg
+    from scipy.linalg import lu_factor, lu_solve
     V = _as_samples(potential, grid)
     m = grid.point_count
     L_dense = diff_matrix(grid, 2) + np.diag(V) - mu * np.eye(m)

@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +42,23 @@ def soliton_config(outdir, **overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+def lump_config(outdir, points=64):
+    l = 16 * math.pi
+    return {
+        "problem": {
+            "family": "benjamin_lump",
+            "grid": {"half_length_x": l, "points_x": points,
+                     "half_length_z": l, "points_z": points},
+            "Gamma": 0.0, "sound_speed": 1.0,
+        },
+        "factor": {"descriptor": "petviashvili:optimal"},
+        "iteration": {"max_iterations": 500, "residual_tolerance": 1e-10},
+        "seed": {"kind": "gaussian", "amplitude": 2.0, "width": 2.0},
+        "continuation": {"values": [0.0, 0.1], "max_bisections": 2},
+        "output": {"directory": str(outdir), "formats": ["csv", "json"]},
+    }
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -194,21 +215,7 @@ class TestSpectrum:
 class TestContinue:
     def test_two_stage_lump_run(self, tmp_path):
         out = tmp_path / "cont"
-        l = 16 * math.pi
-        cfg = {
-            "problem": {
-                "family": "benjamin_lump",
-                "grid": {"half_length_x": l, "points_x": 64,
-                         "half_length_z": l, "points_z": 64},
-                "Gamma": 0.0, "sound_speed": 1.0,
-            },
-            "factor": {"descriptor": "petviashvili:optimal"},
-            "iteration": {"max_iterations": 500, "residual_tolerance": 1e-10},
-            "seed": {"kind": "gaussian", "amplitude": 2.0, "width": 2.0},
-            "continuation": {"values": [0.0, 0.1], "max_bisections": 2},
-            "output": {"directory": str(out), "formats": ["csv", "json"]},
-        }
-        cfg_path = write_config(tmp_path, cfg)
+        cfg_path = write_config(tmp_path, lump_config(out))
         assert main(["continue", "--config", cfg_path]) == 0
         index = json.loads((out / "continuation.json").read_text())
         assert index["completed"]
@@ -223,6 +230,15 @@ class TestContinue:
         cfg["continuation"] = {"values": [0.0, 0.1]}
         cfg_path = write_config(tmp_path, cfg)
         assert main(["continue", "--config", cfg_path]) == 2
+
+    @pytest.mark.parametrize("setting", [{"values": [0.0, "abc"]}, {"max_bisections": None},
+                                         {"max_bisections": 2.5}])
+    def test_bad_continuation_block_exits_2(self, tmp_path, capsys, setting):
+        cfg = lump_config(tmp_path / "cont")
+        cfg["continuation"].update(setting)
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["continue", "--config", cfg_path]) == 2
+        assert "continuation" in capsys.readouterr().err
 
 
 class TestOrbital:
@@ -247,6 +263,14 @@ class TestOrbital:
                           "potential": {"kind": "sech2"}, "mu": 1.3}
         cfg_path = write_config(tmp_path, cfg)
         assert main(["orbital", "--config", cfg_path]) == 2
+
+    @pytest.mark.parametrize("value", [2.5, True])
+    def test_non_integer_max_iterations_exits_2(self, tmp_path, capsys, value):
+        cfg = load_recipe("fig67")
+        cfg["iteration"]["max_iterations"] = value
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["orbital", "--config", cfg_path, "--out", str(tmp_path / "orb")]) == 2
+        assert "max_iterations" in capsys.readouterr().err
 
 
 class TestRecipes:
@@ -404,3 +428,39 @@ class TestCollapse:
         assert "collapsed" in capsys.readouterr().err
         summary = json.loads((tmp_path / "spec" / "summary.json").read_text())
         assert summary["status"] == "collapsed"
+
+
+FRESH_RUNS = """
+import json, sys
+from travwave.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+codes = [main(["continue", "--config", sys.argv[1]]), main(["solve", "--config", sys.argv[2]])]
+before = scipy_modules()
+codes.append(main(["spectrum", "--config", sys.argv[3]]))
+print(json.dumps({"codes": codes, "before": before, "after": scipy_modules()}))
+"""
+
+
+class TestColdStart:
+    def test_fourier_runs_load_no_scipy(self, tmp_path):
+        """continue and a stabilized Fourier solve run on numpy alone; the
+        spectrum control shows the check sees a scipy import when one happens.
+        A fresh interpreter, since this one has loaded scipy already."""
+        spectrum_cfg = soliton_config(tmp_path / "spec")
+        spectrum_cfg["diagnostics"] = {"spectrum_k": 6, "state": "exact"}
+        paths = [write_config(tmp_path, lump_config(tmp_path / "cont", points=32), "cont.json"),
+                 write_config(tmp_path, soliton_config(tmp_path / "solve"), "solve.json"),
+                 write_config(tmp_path, spectrum_cfg, "spec.json")]
+        src = str(Path(tw.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", FRESH_RUNS, *paths], env=env,
+                              capture_output=True, text=True, check=True, timeout=300)
+        report = json.loads(proc.stdout.splitlines()[-1])
+        assert report["codes"] == [0, 0, 0]
+        assert report["before"] == []
+        assert "scipy.sparse.linalg" in report["after"]
+        assert json.loads((tmp_path / "cont" / "continuation.json").read_text())["completed"]

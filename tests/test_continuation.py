@@ -47,6 +47,11 @@ class TestHomotopyPath:
         with pytest.raises(ValueError):
             tw.HomotopyPath(values=())
 
+    @pytest.mark.parametrize("value", [2.5, True, None, -1])
+    def test_max_bisections_must_be_a_nonnegative_integer(self, value):
+        with pytest.raises(ValueError):
+            tw.HomotopyPath(values=(0.0, 0.1), max_bisections=value)
+
     def test_single_value_allowed(self):
         path = tw.HomotopyPath(values=(0.3,))
         assert path.values == (0.3,)

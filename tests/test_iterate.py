@@ -212,3 +212,8 @@ class TestResidual:
             tw.IterationConfig(stop_rule="sometimes")
         with pytest.raises(ValueError):
             tw.IterationConfig(divergence_guard=0.5)
+
+    @pytest.mark.parametrize("value", [2.5, True, None])
+    def test_max_iterations_must_be_an_integer(self, value):
+        with pytest.raises(ValueError, match="max_iterations"):
+            tw.IterationConfig(max_iterations=value)
