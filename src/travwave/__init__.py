@@ -15,7 +15,6 @@ from .diagnostics import (
     fit_phase_line,
     iteration_matrix_action,
     iteration_matrix_spectrum,
-    jacobian_F_action,
     jacobian_spectrum,
     orbit_match,
     spectrum_shift_check,
@@ -34,11 +33,8 @@ from .iterate import (
     IterationConfig,
     IterationTrace,
     SolveResult,
-    classical_step,
     newton_solve,
-    residual,
     solve,
-    stabilized_step,
 )
 from .problems import (
     ProblemModel,
@@ -51,23 +47,22 @@ from .problems import (
     nls_soliton,
     sech2_potential,
 )
-from .spectral import Field, Grid1D, Grid2D, derivative, diff_matrix, hilbert_transform, wavenumbers
+from .spectral import Field, Grid1D, Grid2D, derivative, diff_matrix, hilbert_transform
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ContinuationResult", "HomotopyPath", "StageResult", "continue_solve",
     "OrbitFit", "SpectrumReport", "decompose_error", "fit_phase_line",
-    "iteration_matrix_action", "iteration_matrix_spectrum", "jacobian_F_action",
+    "iteration_matrix_action", "iteration_matrix_spectrum",
     "jacobian_spectrum", "orbit_match", "spectrum_shift_check",
     "symmetry_generators", "top_eigenvalues",
     "StabilizingFactor", "from_descriptor", "inner_factor",
     "norm_factor", "optimal_gamma", "petviashvili_factor",
-    "IterationConfig", "IterationTrace", "SolveResult", "classical_step",
-    "newton_solve", "residual", "solve", "stabilized_step",
+    "IterationConfig", "IterationTrace", "SolveResult",
+    "newton_solve", "solve",
     "ProblemModel", "SolitonParameters", "benjamin_lump", "double_well_potential",
     "exact_soliton_profile", "gaussian_seed", "nls_ground_state", "nls_soliton",
     "sech2_potential",
     "Field", "Grid1D", "Grid2D", "derivative", "diff_matrix", "hilbert_transform",
-    "wavenumbers",
 ]

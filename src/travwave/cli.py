@@ -16,13 +16,13 @@ import csv
 import importlib.resources
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import diagnostics, factors, problems
-from .continuation import ContinuationResult, HomotopyPath, continue_solve
+from .continuation import HomotopyPath, continue_solve
 from .iterate import COLLAPSED, IterationConfig, SolveResult, newton_solve, solve
 from .spectral import Field, Grid1D, Grid2D, derivative
 
@@ -66,16 +66,13 @@ def _require(block: dict, key: str, context: str):
 
 def build_grid(problem_block: dict):
     grid_block = _require(problem_block, "grid", "problem")
-    if "points_x" in grid_block:
-        try:
+    try:
+        if "points_x" in grid_block:
             gx = Grid1D(float(_require(grid_block, "half_length_x", "problem.grid")),
                         int(_require(grid_block, "points_x", "problem.grid")))
             gz = Grid1D(float(_require(grid_block, "half_length_z", "problem.grid")),
                         int(_require(grid_block, "points_z", "problem.grid")))
-        except ValueError as exc:
-            raise ConfigError(f"problem.grid: {exc}") from None
-        return Grid2D(gx, gz)
-    try:
+            return Grid2D(gx, gz)
         return Grid1D(float(_require(grid_block, "half_length", "problem.grid")),
                       int(_require(grid_block, "points", "problem.grid")))
     except ValueError as exc:
@@ -126,15 +123,15 @@ def build_problem(cfg: dict):
     raise ConfigError(f"problem.family: unknown family {family!r}")
 
 
+def _field_values(cls, block: dict) -> dict:
+    """The entries of a config block that name fields of the dataclass `cls`."""
+    names = {f.name for f in fields(cls)}
+    return {key: value for key, value in block.items() if key in names}
+
+
 def build_iteration_config(cfg: dict) -> IterationConfig:
-    block = cfg.get("iteration", {})
-    kwargs = {}
-    for key in ("max_iterations", "residual_tolerance", "factor_tolerance",
-                "divergence_guard", "stop_rule", "store_all"):
-        if key in block:
-            kwargs[key] = block[key]
     try:
-        return IterationConfig(**kwargs)
+        return IterationConfig(**_field_values(IterationConfig, cfg.get("iteration", {})))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"iteration: {exc}") from None
 
@@ -180,14 +177,21 @@ def build_seed(cfg: dict, problem) -> Field:
     if kind == "exact_perturbed":
         if problem.exact_solution is None:
             raise ConfigError("seed.kind: exact_perturbed requires a problem with an exact solution")
-        eps1 = float(block.get("eps1", 0.0))
-        eps2 = float(block.get("eps2", 0.0))
+        eps1, eps2 = _perturbation(block)
         exact = problem.exact_solution()
         return exact + eps1 * exact.with_values(1j * exact.values) + eps2 * derivative(exact, 1)
     if kind == "file":
         path = _require(block, "path", "seed")
         return read_profile_csv(path, problem)
     raise ConfigError(f"seed.kind: unknown kind {kind!r}")
+
+
+def _perturbation(block: dict) -> tuple[float, float]:
+    """(eps1, eps2) of an exact_perturbed seed: gauge and translation amplitudes."""
+    try:
+        return float(block.get("eps1", 0.0)), float(block.get("eps2", 0.0))
+    except (TypeError, ValueError):
+        raise ConfigError(f"seed: eps1 and eps2 must be numbers, got {block!r}") from None
 
 
 def output_dir(cfg: dict, override: str | None) -> Path:
@@ -305,13 +309,18 @@ def summary_payload(cfg: dict, problem, factor, result: SolveResult, engine: str
 # commands
 
 
-def _run_engine(cfg: dict, problem, factor, seed: Field, itconfig: IterationConfig):
+def _engine(cfg: dict) -> str:
     engine = cfg.get("iteration", {}).get("engine", "stabilized")
-    if engine == "stabilized":
-        return solve(problem, factor, seed, itconfig), engine
+    if engine not in ("stabilized", "newton"):
+        raise ConfigError(f"iteration.engine: unknown engine {engine!r}")
+    return engine
+
+
+def _run_engine(cfg: dict, problem, factor, seed: Field, itconfig: IterationConfig):
+    engine = _engine(cfg)
     if engine == "newton":
         return newton_solve(problem, seed, itconfig), engine
-    raise ConfigError(f"iteration.engine: unknown engine {engine!r}")
+    return solve(problem, factor, seed, itconfig), engine
 
 
 def _solve_outputs(outdir: Path, cfg: dict, problem, factor, result: SolveResult, engine: str,
@@ -333,7 +342,8 @@ def cmd_solve(cfg: dict, outdir: Path) -> int:
     return 0
 
 
-def _resolve_state(cfg: dict, problem, factor, itconfig) -> tuple[Field, SolveResult | None, str]:
+def _resolve_state(cfg: dict, problem, factor, itconfig,
+                   seed: Field | None) -> tuple[Field, SolveResult | None, str]:
     diag = cfg.get("diagnostics", {})
     state_kind = diag.get("state", "solve")
     if state_kind == "exact":
@@ -348,7 +358,8 @@ def _resolve_state(cfg: dict, problem, factor, itconfig) -> tuple[Field, SolveRe
             raise FileNotFoundError(f"state file not found: {path}")
         return read_profile_csv(path, problem), None, "file"
     if state_kind == "solve":
-        seed = build_seed(cfg, problem)
+        if seed is None:
+            raise ConfigError("missing field config.seed")
         result, engine = _run_engine(cfg, problem, factor, seed, itconfig)
         return result.final, result, engine
     raise ConfigError(f"diagnostics.state: unknown state {state_kind!r}")
@@ -362,19 +373,14 @@ def cmd_spectrum(cfg: dict, outdir: Path) -> int:
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise ConfigError(f"diagnostics.spectrum_k: expected a positive integer, got {k!r}")
 
-    state, result, engine = _resolve_state(cfg, problem, factor, itconfig)
+    seed = build_seed(cfg, problem) if "seed" in cfg else None
+    state, result, engine = _resolve_state(cfg, problem, factor, itconfig, seed)
     if result is not None:
         _solve_outputs(outdir, cfg, problem, factor, result, engine, itconfig)
         if result.status == COLLAPSED:
             raise RuntimeError(f"the {engine} solve collapsed to the trivial state u = 0; "
                                "its spectra say nothing about a traveling wave")
 
-    seed = None
-    if "seed" in cfg:
-        try:
-            seed = build_seed(cfg, problem)
-        except ConfigError:
-            seed = None
     spec_S = diagnostics.iteration_matrix_spectrum(problem, state, k, seed=seed)
     spec_F = diagnostics.jacobian_spectrum(problem, factor, state, k)
     _json_dump(outdir / "spectrum_S.json", spec_S.to_json_dict())
@@ -397,43 +403,37 @@ def cmd_spectrum(cfg: dict, outdir: Path) -> int:
 
 
 def cmd_continue(cfg: dict, outdir: Path) -> int:
-    problem_block = _require(cfg, "problem", "config")
-    if problem_block.get("family") != "benjamin_lump":
-        raise ConfigError("continuation.family: only benjamin_lump supports Gamma continuation")
     cont = _require(cfg, "continuation", "config")
-    values = _require(cont, "values", "continuation")
     try:
-        path = HomotopyPath(values=tuple(values), max_bisections=cont.get("max_bisections", 4))
+        path = HomotopyPath(**_field_values(HomotopyPath, cont))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"continuation: {exc}") from None
+    engine = _engine(cfg)
+    if engine != "stabilized":
+        raise ConfigError(f"iteration.engine: continue runs the stabilized engine, got {engine!r}")
+    problem_block = _require(cfg, "problem", "config")
 
-    grid = build_grid(problem_block)
-    if not isinstance(grid, Grid2D):
-        raise ConfigError("problem.grid: benjamin_lump needs a 2D grid")
-    sound_speed = float(_require(problem_block, "sound_speed", "problem"))
-    family = lambda g: problems.benjamin_lump(g, sound_speed, grid)
+    def family(gamma: float):
+        return build_problem({**cfg, "problem": {**problem_block, "Gamma": gamma}})
 
     base_problem = family(path.values[0])
-    descriptor = _require(_require(cfg, "factor", "config"), "descriptor", "factor")
-    try:
-        factors.from_descriptor(descriptor, base_problem)  # validate early
-    except (factors.DescriptorError, factors.FactorPropertyError) as exc:
-        raise ConfigError(f"factor.descriptor: {exc}") from None
+    if base_problem.name != "benjamin_lump":
+        raise ConfigError("problem.family: only benjamin_lump supports Gamma continuation")
+    for value in path.values[1:]:
+        family(value)  # a value outside the family is a config error before any stage is solved
     itconfig = build_iteration_config(cfg)
     seed = build_seed(cfg, base_problem)
 
-    res: ContinuationResult = continue_solve(family, path, seed, descriptor, itconfig)
+    res = continue_solve(family, path, seed, lambda problem: build_factor(cfg, problem), itconfig)
     stage_index = []
     for i, stage in enumerate(res.stages):
         sub = outdir / f"stage_{i:03d}_gamma_{stage.parameter_value:.6f}"
         sub.mkdir(parents=True, exist_ok=True)
-        stage_problem = family(stage.parameter_value)
-        stage_factor = factors.from_descriptor(descriptor, stage_problem)
         stage_cfg = dict(cfg)
         if i > 0:
             stage_cfg["seed"] = {"kind": "warm_start",
                                  "from_stage": res.stages[i - 1].parameter_value}
-        _solve_outputs(sub, stage_cfg, stage_problem, stage_factor, stage.result, "stabilized",
+        _solve_outputs(sub, stage_cfg, stage.factor.problem, stage.factor, stage.result, engine,
                        itconfig)
         stage_index.append({
             "directory": sub.name,
@@ -454,28 +454,21 @@ def cmd_continue(cfg: dict, outdir: Path) -> int:
 def cmd_orbital(cfg: dict, outdir: Path) -> int:
     problem = build_problem(cfg)
     if problem.name != "nls_soliton":
-        raise ConfigError("orbital.family: orbital experiments require nls_soliton")
+        raise ConfigError("problem.family: orbital experiments require nls_soliton")
     factor = build_factor(cfg, problem)
     itconfig = build_iteration_config(cfg)
-    block = cfg.get("orbital", {})
-    experiments = block.get("experiments")
-    if not experiments:
-        seed_block = cfg.get("seed", {})
-        experiments = [{"eps1": seed_block.get("eps1", 0.0), "eps2": seed_block.get("eps2", 0.0)}]
+    experiments = cfg.get("orbital", {}).get("experiments") or [cfg.get("seed", {})]
 
     params = problems.SolitonParameters(**problem.params)
-    exact = problem.exact_solution()
     index = []
     for exp in experiments:
-        eps1 = float(exp.get("eps1", 0.0))
-        eps2 = float(exp.get("eps2", 0.0))
+        eps1, eps2 = _perturbation(exp)
+        run_cfg = dict(cfg, seed={"kind": "exact_perturbed", "eps1": eps1, "eps2": eps2})
+        seed = build_seed(run_cfg, problem)
+        result, engine = _run_engine(run_cfg, problem, factor, seed, itconfig)
         sub = outdir / f"run_eps1_{eps1:g}_eps2_{eps2:g}"
         sub.mkdir(parents=True, exist_ok=True)
-        seed = exact + eps1 * exact.with_values(1j * exact.values) + eps2 * derivative(exact, 1)
-        result = solve(problem, factor, seed, itconfig)
-        run_cfg = dict(cfg)
-        run_cfg["seed"] = {"kind": "exact_perturbed", "eps1": eps1, "eps2": eps2}
-        _solve_outputs(sub, run_cfg, problem, factor, result, "stabilized", itconfig)
+        _solve_outputs(sub, run_cfg, problem, factor, result, engine, itconfig)
         fit = diagnostics.orbit_match(result.final, params)
         payload = fit.to_json_dict()
         payload["eps1"], payload["eps2"] = eps1, eps2

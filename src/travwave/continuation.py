@@ -8,7 +8,7 @@ from dataclasses import dataclass, field as dataclass_field
 from numbers import Integral
 from typing import Callable
 
-from . import factors as factors_mod
+from .factors import StabilizingFactor, from_descriptor
 from .iterate import CONVERGED, IterationConfig, SolveResult, solve
 from .problems import ProblemModel
 from .spectral import Field
@@ -19,7 +19,6 @@ class HomotopyPath:
     """Strictly monotone parameter values, visited in order."""
 
     values: tuple[float, ...]
-    parameter_name: str = "Gamma"
     max_bisections: int = 4
 
     def __post_init__(self):
@@ -41,6 +40,7 @@ class StageResult:
     parameter_value: float
     result: SolveResult
     requested: bool  # False for bisection-inserted stages
+    factor: StabilizingFactor  # bound to the stage's problem, `factor.problem`
 
 
 @dataclass
@@ -61,7 +61,7 @@ class ContinuationResult:
 def _make_factor(factor_spec, problem: ProblemModel):
     if callable(factor_spec):
         return factor_spec(problem)
-    return factors_mod.from_descriptor(str(factor_spec), problem)
+    return from_descriptor(str(factor_spec), problem)
 
 
 def continue_solve(model_family: Callable[[float], ProblemModel], path: HomotopyPath,
@@ -84,7 +84,7 @@ def continue_solve(model_family: Callable[[float], ProblemModel], path: Homotopy
         result = solve(problem, factor, start, cfg)
         if result.status != CONVERGED:
             return None
-        out.stages.append(StageResult(value, result, requested))
+        out.stages.append(StageResult(value, result, requested, factor))
         return result
 
     def advance(prev_value: float | None, value: float, start: Field,

@@ -35,13 +35,6 @@ def iteration_matrix_action(problem: ProblemModel, u_star: Field, v: Field) -> F
     return problem.solve_L(problem.jacN_action(u_star, v))
 
 
-def jacobian_F_action(problem: ProblemModel, factor: StabilizingFactor,
-                      u_star: Field, v: Field) -> Field:
-    """F'(u*) v = S v + u* (grad s(u*) . v)."""
-    grad = factor.gradient(u_star)
-    return iteration_matrix_action(problem, u_star, v) + grad(v) * u_star
-
-
 def s_operator(problem: ProblemModel, u_star: Field) -> tuple[Callable, VectorSpace]:
     """Vector-level oracle for S on the state's linearization space."""
     space = problem.linearization_space(at=u_star)
@@ -102,8 +95,7 @@ class SpectrumReport:
 
 
 def top_eigenvalues(action: Callable[[np.ndarray], np.ndarray], dimension: int, k: int,
-                    p: float | None = None, seed_vector: np.ndarray | None = None,
-                    unit_tol: float = UNIT_TOL) -> SpectrumReport:
+                    p: float | None = None, seed_vector: np.ndarray | None = None) -> SpectrumReport:
     """k largest-modulus eigenvalues of a matrix-free linear operator.
 
     Implicitly restarted Arnoldi (ARPACK, largest modulus) whenever
@@ -146,35 +138,33 @@ def top_eigenvalues(action: Callable[[np.ndarray], np.ndarray], dimension: int, 
             av = action(v)
         residuals[i] = np.linalg.norm(av - lam * v) / np.linalg.norm(v)
 
-    near_unit = np.abs(np.abs(eigvals) - 1.0) <= unit_tol
+    near_unit = np.abs(np.abs(eigvals) - 1.0) <= UNIT_TOL
     report = SpectrumReport(
         eigenvalues=eigvals, residuals=residuals, near_unit=near_unit,
         dimension=dimension, k=k, solver=solver, converged=converged,
         eigenvectors=eigvecs, matrix=A,
     )
     if p is not None:
-        report.hypothesis = hypothesis_verdicts(report, p, seed_vector=seed_vector,
-                                                unit_tol=unit_tol)
+        report.hypothesis = hypothesis_verdicts(report, p, seed_vector=seed_vector)
     return report
 
 
 def iteration_matrix_spectrum(problem: ProblemModel, u_star: Field, k: int,
-                              seed: Field | None = None, **kwargs) -> SpectrumReport:
+                              seed: Field | None = None) -> SpectrumReport:
     action, space = s_operator(problem, u_star)
     seed_vec = space.to_vector(seed) if seed is not None else None
     return top_eigenvalues(action, space.dim, k, p=problem.degree,
-                           seed_vector=seed_vec, **kwargs)
+                           seed_vector=seed_vec)
 
 
 def jacobian_spectrum(problem: ProblemModel, factor: StabilizingFactor, u_star: Field,
-                      k: int, **kwargs) -> SpectrumReport:
+                      k: int) -> SpectrumReport:
     action, space = f_operator(problem, factor, u_star)
-    return top_eigenvalues(action, space.dim, k, **kwargs)
+    return top_eigenvalues(action, space.dim, k)
 
 
 def hypothesis_verdicts(report: SpectrumReport, p: float,
-                        seed_vector: np.ndarray | None = None,
-                        unit_tol: float = UNIT_TOL) -> dict:
+                        seed_vector: np.ndarray | None = None) -> dict:
     """Verdicts for the local-convergence hypotheses at the reported spectrum.
 
     (i) the dominant eigenvalue equals the homogeneity degree p and is simple;
@@ -188,10 +178,10 @@ def hypothesis_verdicts(report: SpectrumReport, p: float,
     lam = report.eigenvalues
     dominant = lam[0]
     dominant_matches_p = bool(abs(dominant - p) <= 1e-3 * max(1.0, abs(p)))
-    cluster = np.abs(lam - dominant) <= unit_tol * max(1.0, abs(dominant))
+    cluster = np.abs(lam - dominant) <= UNIT_TOL * max(1.0, abs(dominant))
     dominant_simple = bool(np.count_nonzero(cluster) == 1)
     others = lam[1:]
-    others_within_unit = bool(np.all(np.abs(others) <= 1.0 + unit_tol))
+    others_within_unit = bool(np.all(np.abs(others) <= 1.0 + UNIT_TOL))
 
     unit_idx = [i for i in range(len(lam)) if report.near_unit[i]]
     unit_entries = [{"eigenvalue": [float(lam[i].real), float(lam[i].imag)],
@@ -208,8 +198,8 @@ def hypothesis_verdicts(report: SpectrumReport, p: float,
         # unit eigenvalues clustered around each one
         seed_norm = float(np.linalg.norm(seed_vector))
         for i, entry in zip(unit_idx, unit_entries):
-            cluster = [j for j in unit_idx if abs(lam[j] - lam[i]) <= 10 * unit_tol]
-            q = _cluster_basis(report, cluster, lam[i], unit_tol)
+            cluster = [j for j in unit_idx if abs(lam[j] - lam[i]) <= 10 * UNIT_TOL]
+            q = _cluster_basis(report, cluster, lam[i])
             comp = float(np.linalg.norm(q.conj().T @ seed_vector.astype(q.dtype)))
             entry["seed_component"] = comp
             entry["seed_component_relative"] = comp / seed_norm if seed_norm else np.nan
@@ -229,8 +219,7 @@ def hypothesis_verdicts(report: SpectrumReport, p: float,
     }
 
 
-def _cluster_basis(report: SpectrumReport, indices: list[int], lam_c: complex,
-                   unit_tol: float) -> np.ndarray:
+def _cluster_basis(report: SpectrumReport, indices: list[int], lam_c: complex) -> np.ndarray:
     """Orthonormal basis of the invariant subspace for an eigenvalue cluster.
 
     Arnoldi reports take a QR of the cluster's Ritz vectors.  Dense reports,
@@ -240,7 +229,7 @@ def _cluster_basis(report: SpectrumReport, indices: list[int], lam_c: complex,
     """
     if report.matrix is not None:
         import scipy.linalg
-        radius = 10 * unit_tol * max(1.0, abs(lam_c))
+        radius = 10 * UNIT_TOL * max(1.0, abs(lam_c))
         T, Z, sdim = scipy.linalg.schur(
             report.matrix, output="complex",
             sort=lambda z: abs(z - lam_c) <= radius)

@@ -13,7 +13,7 @@ raises instead of taking a complex branch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -123,20 +123,17 @@ def _format_gamma(gamma: float) -> str:
 
 def petviashvili_factor(gamma, problem: ProblemModel, allow_marginal: bool = False) -> StabilizingFactor:
     """s(u) = (<Lu, u> / <N(u), u>)^gamma, the f = identity inner factor."""
-    return inner_factor(F_MAPS["identity"], gamma, problem, allow_marginal=allow_marginal,
-                        descriptor_kind="petviashvili")
+    factor = inner_factor(F_MAPS["identity"], gamma, problem, allow_marginal=allow_marginal)
+    return replace(factor, descriptor=f"petviashvili:{_format_gamma(factor.gamma)}",
+                   kind="petviashvili")
 
 
-def inner_factor(f, gamma, problem: ProblemModel, allow_marginal: bool = False,
-                 descriptor_kind: str = "inner") -> StabilizingFactor:
+def inner_factor(f, gamma, problem: ProblemModel, allow_marginal: bool = False) -> StabilizingFactor:
     """s(u) = (<Lu, f(u)> / <N(u), f(u)>)^gamma for a homogeneous map f."""
     fmap = f if isinstance(f, FMap) else _validated_fmap(f, problem)
     gamma = _resolve_gamma(gamma, problem.degree)
     q = _check_degree(problem.degree, gamma, allow_marginal)
-    if descriptor_kind == "petviashvili":
-        descriptor = f"petviashvili:{_format_gamma(gamma)}"
-    else:
-        descriptor = f"inner:f={fmap.name}:{_format_gamma(gamma)}"
+    descriptor = f"inner:f={fmap.name}:{_format_gamma(gamma)}"
 
     def parts(pair: OperatorPair):
         # f = identity pairs with u's own coefficients; other maps cost one transform
@@ -145,7 +142,7 @@ def inner_factor(f, gamma, problem: ProblemModel, allow_marginal: bool = False,
         den = pair.inner(pair.Nc, fc)
         if abs(den) <= 1e-14 * pair.norm(pair.Nc) * pair.norm(fc):
             raise DegenerateDenominatorError(
-                f"|<N(u), f(u)>| = {abs(den):.3g} is degenerate for {descriptor}"
+                f"|<N(u), f(u)>| = {abs(den):.3g} is degenerate for f = {fmap.name}"
             )
         return num, den
 
@@ -174,7 +171,7 @@ def inner_factor(f, gamma, problem: ProblemModel, allow_marginal: bool = False,
 
         return directional
 
-    return StabilizingFactor(descriptor, descriptor_kind, gamma, q, problem, ratio, gradient)
+    return StabilizingFactor(descriptor, "inner", gamma, q, problem, ratio, gradient)
 
 
 def _ratio_power_derivative(R: float, gamma: float) -> float:
@@ -254,9 +251,6 @@ def norm_factor(r, gamma, problem: ProblemModel, allow_marginal: bool = False) -
             raise DegenerateDenominatorError(f"||N(u)||_{r_name} = 0 for {descriptor}")
         return vec_norm(pair.field(pair.Lc)) / den
 
-    def evaluate(u: Field) -> float:
-        return _power(ratio(problem.pair(u)), gamma)
-
     def gradient(u: Field) -> Callable[[Field], float]:
         base = u
         if r_val in (1.0, np.inf):
@@ -269,13 +263,14 @@ def norm_factor(r, gamma, problem: ProblemModel, allow_marginal: bool = False) -
             if vn == 0.0:
                 return 0.0
             eps = 1e-6 * max(base.norm, 1.0) / vn
-            plus = evaluate(base + eps * v)
-            minus = evaluate(base + (-eps) * v)
+            plus = factor(base + eps * v)
+            minus = factor(base + (-eps) * v)
             return (plus - minus) / (2.0 * eps)
 
         return directional
 
-    return StabilizingFactor(descriptor, "norm", gamma, q, problem, ratio, gradient)
+    factor = StabilizingFactor(descriptor, "norm", gamma, q, problem, ratio, gradient)
+    return factor
 
 
 def from_descriptor(descriptor: str, problem: ProblemModel, allow_marginal: bool = False) -> StabilizingFactor:

@@ -59,18 +59,12 @@ class IterationTrace:
     factor_discrepancies: np.ndarray
     norms: np.ndarray
     status: str
-    first: Field
-    last: Field
     all_iterates: list[Field] | None = None
 
     @property
     def iteration_count(self) -> int:
         """Number of steps taken (records minus one)."""
         return len(self.residuals) - 1
-
-    @property
-    def converged(self) -> bool:
-        return self.status == CONVERGED
 
     @property
     def final_residual(self) -> float:
@@ -96,23 +90,6 @@ class SolveResult:
         return self.trace.status
 
 
-def residual(problem: ProblemModel, u: Field) -> float:
-    """RE = ||L u - N(u)||, Euclidean; pinned modes contribute exactly zero."""
-    return problem.pair(u).residual
-
-
-def classical_step(problem: ProblemModel, u: Field) -> Field:
-    """One unstabilized step: solve L u' = N(u), pinned modes zeroed."""
-    return problem.pair(u).step(1.0)[0]
-
-
-def stabilized_step(problem: ProblemModel, factor: StabilizingFactor, u: Field) -> tuple[Field, float]:
-    """One stabilized step: solve L u' = s(u) N(u); returns (u', s(u))."""
-    pair = problem.pair(u)
-    s_val = factor(u, pair)
-    return pair.step(s_val)[0], s_val
-
-
 def solve(problem: ProblemModel, factor: StabilizingFactor | None, u0: Field,
           config: IterationConfig | None = None) -> SolveResult:
     """Iterate until the stop rule, the divergence guard, or max_iterations.
@@ -126,7 +103,6 @@ def solve(problem: ProblemModel, factor: StabilizingFactor | None, u0: Field,
     if u0.norm == 0.0 or not np.all(np.isfinite(u0.values)):
         raise ValueError("seed must be nonzero and finite")
     u = problem.project_pinned(u0)
-    first = u
     uc = None
 
     res_hist: list[float] = []
@@ -179,8 +155,6 @@ def solve(problem: ProblemModel, factor: StabilizingFactor | None, u0: Field,
         factor_discrepancies=np.asarray(fac_hist),
         norms=np.asarray(norm_hist),
         status=_unless_collapsed(status, norm_hist),
-        first=first,
-        last=u,
         all_iterates=stored,
     )
     return SolveResult(final=u, trace=trace)
@@ -202,7 +176,6 @@ def newton_solve(problem: ProblemModel, u0: Field, config: IterationConfig | Non
 
     space = problem.linearization_space(at=u0)
     u = problem.project_pinned(u0)
-    first = u
     w = space.to_vector(u)
 
     def G_of(vec: np.ndarray) -> np.ndarray:
@@ -264,8 +237,6 @@ def newton_solve(problem: ProblemModel, u0: Field, config: IterationConfig | Non
         factor_discrepancies=np.full(len(res_hist), np.nan),
         norms=np.asarray(norm_hist),
         status=_unless_collapsed(status, norm_hist),
-        first=first,
-        last=final,
         all_iterates=stored,
     )
     return SolveResult(final=final, trace=trace)

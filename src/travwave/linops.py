@@ -22,11 +22,9 @@ from .spectral import Field, Grid
 class VectorSpace:
     """Bijection between fields (in an invariant subspace) and R^dim."""
 
-    grid: Grid
     dim: int
     to_vector: Callable[[Field], np.ndarray]
     from_vector: Callable[[np.ndarray], Field]
-    label: str
 
     def wrap(self, action: Callable[[Field], Field]) -> Callable[[np.ndarray], np.ndarray]:
         """Lift a field action to a vector action."""
@@ -41,11 +39,9 @@ def real_space(grid: Grid) -> VectorSpace:
     shape = grid.shape
     n = int(np.prod(shape))
     return VectorSpace(
-        grid=grid,
         dim=n,
         to_vector=lambda f: np.ascontiguousarray(f.values.real).ravel().copy(),
         from_vector=lambda v: Field(grid, v.reshape(shape).astype(np.float64)),
-        label="real",
     )
 
 
@@ -60,7 +56,7 @@ def realified_space(grid: Grid) -> VectorSpace:
     def from_vec(v: np.ndarray) -> Field:
         return Field(grid, (v[:n] + 1j * v[n:]).reshape(shape))
 
-    return VectorSpace(grid=grid, dim=2 * n, to_vector=to_vec, from_vector=from_vec, label="realified")
+    return VectorSpace(dim=2 * n, to_vector=to_vec, from_vector=from_vec)
 
 
 def phase_channel_space(grid: Grid, phase: complex) -> VectorSpace:
@@ -76,8 +72,7 @@ def phase_channel_space(grid: Grid, phase: complex) -> VectorSpace:
     def from_vec(v: np.ndarray) -> Field:
         return Field(grid, phase * v.reshape(shape))
 
-    return VectorSpace(grid=grid, dim=n, to_vector=to_vec, from_vector=from_vec,
-                       label=f"phase_channel({phase})")
+    return VectorSpace(dim=n, to_vector=to_vec, from_vector=from_vec)
 
 
 def assemble_matrix(action: Callable[[np.ndarray], np.ndarray], dim: int) -> np.ndarray:

@@ -128,17 +128,29 @@ class Field:
         return Field(self.grid, -self.values)
 
 
-def wavenumbers(grid: Grid1D) -> np.ndarray:
-    """Wavenumbers k_j = (pi/l)*j, j = -m/2..m/2-1, in native FFT order."""
-    return grid.wavenumbers
-
-
 def _axis_grid(field: Field, axis: int) -> Grid1D:
     if isinstance(field.grid, Grid1D):
         if axis != 0:
             raise ValueError("1D fields only have axis 0")
         return field.grid
     return (field.grid.grid_x, field.grid.grid_z)[axis]
+
+
+def _derivative_multiplier(grid: Grid1D, order: int) -> np.ndarray:
+    k = grid.wavenumbers_no_nyquist if order % 2 == 1 else grid.wavenumbers
+    return (1j * k) ** order
+
+
+def _multiply(field: Field, mult: np.ndarray, axis: int) -> Field:
+    """Apply a 1D Fourier multiplier along `axis`; real fields stay real."""
+    if isinstance(field.grid, Grid2D):
+        shape = [1, 1]
+        shape[axis] = mult.size
+        mult = mult.reshape(shape)
+    out = np.fft.ifft(mult * np.fft.fft(field.values, axis=axis), axis=axis)
+    if not field.is_complex:
+        out = out.real
+    return field.with_values(out)
 
 
 def derivative(field: Field, order: int, axis: int = 0) -> Field:
@@ -148,30 +160,12 @@ def derivative(field: Field, order: int, axis: int = 0) -> Field:
     """
     if order < 1:
         raise ValueError(f"order must be a positive integer, got {order}")
-    g = _axis_grid(field, axis)
-    k = g.wavenumbers_no_nyquist if order % 2 == 1 else g.wavenumbers
-    mult = (1j * k) ** order
-    if isinstance(field.grid, Grid2D):
-        shape = [1, 1]
-        shape[axis] = g.point_count
-        mult = mult.reshape(shape)
-    out = np.fft.ifft(mult * np.fft.fft(field.values, axis=axis), axis=axis)
-    if not field.is_complex:
-        out = out.real
-    return field.with_values(out)
+    return _multiply(field, _derivative_multiplier(_axis_grid(field, axis), order), axis)
 
 
 def hilbert_transform(field: Field) -> Field:
     """Hilbert transform along x: multiplier -i*sign(k), sign(0)=0, Nyquist zeroed."""
-    g = _axis_grid(field, 0)
-    k = g.wavenumbers_no_nyquist
-    mult = -1j * np.sign(k)
-    if isinstance(field.grid, Grid2D):
-        mult = mult[:, None]
-    out = np.fft.ifft(mult * np.fft.fft(field.values, axis=0), axis=0)
-    if not field.is_complex:
-        out = out.real
-    return field.with_values(out)
+    return _multiply(field, -1j * np.sign(_axis_grid(field, 0).wavenumbers_no_nyquist), 0)
 
 
 def diff_matrix(grid: Grid1D, order: int) -> np.ndarray:
@@ -183,7 +177,6 @@ def diff_matrix(grid: Grid1D, order: int) -> np.ndarray:
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
     m = grid.point_count
-    k = grid.wavenumbers_no_nyquist if order % 2 == 1 else grid.wavenumbers
-    mult = (1j * k) ** order
+    mult = _derivative_multiplier(grid, order)
     eye_hat = np.fft.fft(np.eye(m), axis=0)
     return np.real(np.fft.ifft(mult[:, None] * eye_hat, axis=0))

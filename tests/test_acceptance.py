@@ -119,7 +119,7 @@ def test_criterion_04_ground_state_convergence_and_spectrum(ground_state_problem
 
 def test_criterion_05_antisymmetric_state_and_stabilized_failure(
         double_well_problem, antisymmetric_state, grid_1d):
-    res = tw.residual(double_well_problem, antisymmetric_state)
+    res = double_well_problem.pair(antisymmetric_state).residual
     assert res <= 1e-11
     spec = tw.iteration_matrix_spectrum(double_well_problem, antisymmetric_state, 6)
     moduli = spec.moduli
@@ -195,9 +195,9 @@ def test_criterion_09_one_step_scaling_identities(soliton_problem, soliton_exact
     factor = tw.petviashvili_factor("optimal", soliton_problem)
     p = soliton_problem.degree
     for t in (0.5, 2.0):
-        stepped, _ = tw.stabilized_step(soliton_problem, factor, t * soliton_exact)
+        stepped = soliton_problem.pair(t * soliton_exact).step(factor(t * soliton_exact))[0]
         assert (stepped - soliton_exact).norm <= 1e-10 * soliton_exact.norm
-        classical = tw.classical_step(soliton_problem, t * soliton_exact)
+        classical = soliton_problem.pair(t * soliton_exact).step(1.0)[0]
         target = t**p * soliton_exact
         assert (classical - target).norm <= 1e-12 * target.norm
     report(9, "stabilized step with q = -p maps t u* to u* (1e-10); classical step "

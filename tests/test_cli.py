@@ -141,6 +141,12 @@ class TestSolve:
         assert summary["status"] == "converged"
         assert summary["iterations"] <= 2  # seeded with a solution
 
+    @pytest.mark.parametrize("eps", [{"eps1": "abc"}, {"eps2": None}])
+    def test_non_numeric_perturbation_exits_2(self, tmp_path, capsys, eps):
+        cfg = soliton_config(tmp_path / "x", seed={"kind": "exact_perturbed", **eps})
+        assert main(["solve", "--config", write_config(tmp_path, cfg)]) == 2
+        assert "eps1 and eps2" in capsys.readouterr().err
+
     def test_newton_engine(self, tmp_path):
         out = tmp_path / "newton"
         cfg = soliton_config(out)
@@ -203,6 +209,15 @@ class TestSpectrum:
         assert "unverified" in hyp["verdict"]
         assert "satisfied" not in hyp["verdict"]
 
+    @pytest.mark.parametrize("state", ["exact", "file"])
+    def test_malformed_seed_exits_2(self, tmp_path, capsys, state):
+        cfg = soliton_config(tmp_path / "spec", seed={"kind": "bogus"})
+        state_path = tmp_path / "state.csv"
+        write_profile_csv(state_path, build_problem(cfg).exact_solution())
+        cfg["diagnostics"] = {"spectrum_k": 4, "state": state, "state_path": str(state_path)}
+        assert main(["spectrum", "--config", write_config(tmp_path, cfg)]) == 2
+        assert "seed.kind" in capsys.readouterr().err
+
     @pytest.mark.parametrize("k", [0, -1, "abc", 2.5])
     def test_bad_spectrum_k_exits_2(self, tmp_path, capsys, k):
         cfg = load_recipe("table2")
@@ -225,11 +240,12 @@ class TestContinue:
                      "profile_xcut.csv", "profile_zcut.csv"):
             assert (stage_dir / name).exists()
 
-    def test_wrong_family_exits_2(self, tmp_path):
+    def test_wrong_family_exits_2(self, tmp_path, capsys):
         cfg = soliton_config(tmp_path / "x")
         cfg["continuation"] = {"values": [0.0, 0.1]}
         cfg_path = write_config(tmp_path, cfg)
         assert main(["continue", "--config", cfg_path]) == 2
+        assert "problem.family" in capsys.readouterr().err
 
     @pytest.mark.parametrize("setting", [{"values": [0.0, "abc"]}, {"max_bisections": None},
                                          {"max_bisections": 2.5}])
@@ -239,6 +255,24 @@ class TestContinue:
         cfg_path = write_config(tmp_path, cfg)
         assert main(["continue", "--config", cfg_path]) == 2
         assert "continuation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("block,setting", [("problem", {"sound_speed": "abc"}),
+                                               ("problem", {"sound_speed": -1}),
+                                               ("continuation", {"values": [0.1, -0.1]})])
+    def test_bad_problem_value_exits_2_before_any_stage(self, tmp_path, capsys, block, setting):
+        out = tmp_path / "cont"
+        cfg = lump_config(out, points=32)
+        cfg[block].update(setting)
+        assert main(["continue", "--config", write_config(tmp_path, cfg)]) == 2
+        assert "problem" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("engine", ["newton", "nwton"])
+    def test_engine_other_than_stabilized_exits_2(self, tmp_path, capsys, engine):
+        cfg = lump_config(tmp_path / "cont", points=32)
+        cfg["iteration"]["engine"] = engine
+        assert main(["continue", "--config", write_config(tmp_path, cfg)]) == 2
+        assert "iteration.engine" in capsys.readouterr().err
 
 
 class TestOrbital:
@@ -271,6 +305,21 @@ class TestOrbital:
         cfg_path = write_config(tmp_path, cfg)
         assert main(["orbital", "--config", cfg_path, "--out", str(tmp_path / "orb")]) == 2
         assert "max_iterations" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment", [{"eps1": "abc", "eps2": 0.0}, {"eps1": 0.2, "eps2": None}])
+    def test_non_numeric_perturbation_exits_2(self, tmp_path, capsys, experiment):
+        cfg = load_recipe("fig67")
+        cfg["orbital"]["experiments"] = [experiment]
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["orbital", "--config", cfg_path, "--out", str(tmp_path / "orb")]) == 2
+        assert "eps1 and eps2" in capsys.readouterr().err
+
+    def test_unknown_engine_exits_2(self, tmp_path, capsys):
+        cfg = load_recipe("fig67")
+        cfg["iteration"]["engine"] = "nwton"
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["orbital", "--config", cfg_path, "--out", str(tmp_path / "orb")]) == 2
+        assert "iteration.engine" in capsys.readouterr().err
 
 
 class TestRecipes:
@@ -378,7 +427,7 @@ class TestWriters:
         norms = np.array([2.0, 1e300, np.inf])
         grid = Grid2D(Grid1D(3.0, 8), Grid1D(np.pi, 6))
         field = Field(grid, np.random.default_rng(6).normal(size=(8, 6)))
-        trace = tw.IterationTrace(res, disc, norms, "diverged", field, field)
+        trace = tw.IterationTrace(res, disc, norms, "diverged")
         write_trace_csv(tmp_path / "trace.csv", tw.SolveResult(field, trace))
         self.reference_rows(tmp_path / "ref_trace.csv", ["iter", "residual", "factor_discrepancy", "norm"],
                             [[n, FLOAT_FMT % res[n], FLOAT_FMT % disc[n], FLOAT_FMT % norms[n]]

@@ -8,7 +8,6 @@ from travwave.spectral import (
     derivative,
     diff_matrix,
     hilbert_transform,
-    wavenumbers,
 )
 
 
@@ -32,15 +31,15 @@ class TestGrid:
 
 class TestWavenumbers:
     def test_pi_grid_native_order(self):
-        k = wavenumbers(Grid1D(np.pi, 4))
+        k = Grid1D(np.pi, 4).wavenumbers
         assert k == pytest.approx([0.0, 1.0, -2.0, -1.0])
 
     def test_two_point_grid(self):
-        k = wavenumbers(Grid1D(1.0, 2))
+        k = Grid1D(1.0, 2).wavenumbers
         assert k == pytest.approx([0.0, -np.pi])
 
     def test_max_wavenumber(self):
-        k = wavenumbers(Grid1D(50.0, 512))
+        k = Grid1D(50.0, 512).wavenumbers
         assert np.max(np.abs(k)) == pytest.approx(np.pi * 256 / 50)
 
 
