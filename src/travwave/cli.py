@@ -64,8 +64,15 @@ def _require(block: dict, key: str, context: str):
     return block[key]
 
 
+def _object(value, path: str) -> dict:
+    """A config block, which must be a JSON object; `path` names its key."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}: expected an object, got {value!r}")
+    return value
+
+
 def build_grid(problem_block: dict):
-    grid_block = _require(problem_block, "grid", "problem")
+    grid_block = _object(_require(problem_block, "grid", "problem"), "problem.grid")
     try:
         if "points_x" in grid_block:
             gx = Grid1D(float(_require(grid_block, "half_length_x", "problem.grid")),
@@ -93,14 +100,14 @@ def build_potential(pot_block: dict, grid: Grid1D) -> np.ndarray:
 
 
 def build_problem(cfg: dict):
-    block = _require(cfg, "problem", "config")
+    block = _object(_require(cfg, "problem", "config"), "problem")
     family = _require(block, "family", "problem")
     grid = build_grid(block)
     try:
         if family == "nls_ground_state":
             if not isinstance(grid, Grid1D):
                 raise ConfigError("problem.grid: nls_ground_state needs a 1D grid")
-            V = build_potential(_require(block, "potential", "problem"), grid)
+            V = build_potential(_object(_require(block, "potential", "problem"), "problem.potential"), grid)
             return problems.nls_ground_state(V, float(_require(block, "mu", "problem")), grid)
         if family == "nls_soliton":
             if not isinstance(grid, Grid1D):
@@ -123,21 +130,26 @@ def build_problem(cfg: dict):
     raise ConfigError(f"problem.family: unknown family {family!r}")
 
 
-def _field_values(cls, block: dict) -> dict:
-    """The entries of a config block that name fields of the dataclass `cls`."""
+def _field_values(cls, block, path: str, extra: tuple[str, ...] = ()) -> dict:
+    """The entries of the config block at `path`, each of which must name a
+    field of the dataclass `cls` (returned) or one of `extra` (dropped)."""
     names = {f.name for f in fields(cls)}
+    unknown = sorted(set(_object(block, path)) - names - set(extra))
+    if unknown:
+        raise ConfigError(f"{path}: unknown keys {unknown}; allowed: {sorted(names.union(extra))}")
     return {key: value for key, value in block.items() if key in names}
 
 
 def build_iteration_config(cfg: dict) -> IterationConfig:
+    values = _field_values(IterationConfig, cfg.get("iteration", {}), "iteration", extra=("engine",))
     try:
-        return IterationConfig(**_field_values(IterationConfig, cfg.get("iteration", {})))
+        return IterationConfig(**values)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"iteration: {exc}") from None
 
 
 def build_factor(cfg: dict, problem):
-    block = _require(cfg, "factor", "config")
+    block = _object(_require(cfg, "factor", "config"), "factor")
     descriptor = _require(block, "descriptor", "factor")
     try:
         return factors.from_descriptor(descriptor, problem)
@@ -160,7 +172,7 @@ def _seed_phase(seed_block: dict, problem) -> complex:
 
 
 def build_seed(cfg: dict, problem) -> Field:
-    block = _require(cfg, "seed", "config")
+    block = _object(_require(cfg, "seed", "config"), "seed")
     kind = _require(block, "kind", "seed")
     if kind == "gaussian":
         try:
@@ -177,7 +189,7 @@ def build_seed(cfg: dict, problem) -> Field:
     if kind == "exact_perturbed":
         if problem.exact_solution is None:
             raise ConfigError("seed.kind: exact_perturbed requires a problem with an exact solution")
-        eps1, eps2 = _perturbation(block)
+        eps1, eps2 = _perturbation(block, "seed")
         exact = problem.exact_solution()
         return exact + eps1 * exact.with_values(1j * exact.values) + eps2 * derivative(exact, 1)
     if kind == "file":
@@ -186,19 +198,20 @@ def build_seed(cfg: dict, problem) -> Field:
     raise ConfigError(f"seed.kind: unknown kind {kind!r}")
 
 
-def _perturbation(block: dict) -> tuple[float, float]:
+def _perturbation(block, path: str) -> tuple[float, float]:
     """(eps1, eps2) of an exact_perturbed seed: gauge and translation amplitudes."""
+    eps = _object(block, path)
     try:
-        return float(block.get("eps1", 0.0)), float(block.get("eps2", 0.0))
+        return float(eps.get("eps1", 0.0)), float(eps.get("eps2", 0.0))
     except (TypeError, ValueError):
-        raise ConfigError(f"seed: eps1 and eps2 must be numbers, got {block!r}") from None
+        raise ConfigError(f"{path}: eps1 and eps2 must be numbers, got {block!r}") from None
 
 
 def output_dir(cfg: dict, override: str | None) -> Path:
     if override:
         out = Path(override)
     else:
-        out = Path(_require(_require(cfg, "output", "config"), "directory", "output"))
+        out = Path(_require(_object(_require(cfg, "output", "config"), "output"), "directory", "output"))
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -310,7 +323,7 @@ def summary_payload(cfg: dict, problem, factor, result: SolveResult, engine: str
 
 
 def _engine(cfg: dict) -> str:
-    engine = cfg.get("iteration", {}).get("engine", "stabilized")
+    engine = _object(cfg.get("iteration", {}), "iteration").get("engine", "stabilized")
     if engine not in ("stabilized", "newton"):
         raise ConfigError(f"iteration.engine: unknown engine {engine!r}")
     return engine
@@ -344,7 +357,7 @@ def cmd_solve(cfg: dict, outdir: Path) -> int:
 
 def _resolve_state(cfg: dict, problem, factor, itconfig,
                    seed: Field | None) -> tuple[Field, SolveResult | None, str]:
-    diag = cfg.get("diagnostics", {})
+    diag = _object(cfg.get("diagnostics", {}), "diagnostics")
     state_kind = diag.get("state", "solve")
     if state_kind == "exact":
         if problem.exact_solution is None:
@@ -369,7 +382,7 @@ def cmd_spectrum(cfg: dict, outdir: Path) -> int:
     problem = build_problem(cfg)
     factor = build_factor(cfg, problem)
     itconfig = build_iteration_config(cfg)
-    k = cfg.get("diagnostics", {}).get("spectrum_k", 6)
+    k = _object(cfg.get("diagnostics", {}), "diagnostics").get("spectrum_k", 6)
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise ConfigError(f"diagnostics.spectrum_k: expected a positive integer, got {k!r}")
 
@@ -403,15 +416,15 @@ def cmd_spectrum(cfg: dict, outdir: Path) -> int:
 
 
 def cmd_continue(cfg: dict, outdir: Path) -> int:
-    cont = _require(cfg, "continuation", "config")
+    values = _field_values(HomotopyPath, _require(cfg, "continuation", "config"), "continuation")
     try:
-        path = HomotopyPath(**_field_values(HomotopyPath, cont))
+        path = HomotopyPath(**values)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"continuation: {exc}") from None
     engine = _engine(cfg)
     if engine != "stabilized":
         raise ConfigError(f"iteration.engine: continue runs the stabilized engine, got {engine!r}")
-    problem_block = _require(cfg, "problem", "config")
+    problem_block = _object(_require(cfg, "problem", "config"), "problem")
 
     def family(gamma: float):
         return build_problem({**cfg, "problem": {**problem_block, "Gamma": gamma}})
@@ -457,12 +470,14 @@ def cmd_orbital(cfg: dict, outdir: Path) -> int:
         raise ConfigError("problem.family: orbital experiments require nls_soliton")
     factor = build_factor(cfg, problem)
     itconfig = build_iteration_config(cfg)
-    experiments = cfg.get("orbital", {}).get("experiments") or [cfg.get("seed", {})]
+    listed = _object(cfg.get("orbital", {}), "orbital").get("experiments") or []
+    if not isinstance(listed, list):
+        raise ConfigError(f"orbital.experiments: expected a list, got {listed!r}")
 
     params = problems.SolitonParameters(**problem.params)
     index = []
-    for exp in experiments:
-        eps1, eps2 = _perturbation(exp)
+    for i, exp in enumerate(listed or [cfg.get("seed", {})]):
+        eps1, eps2 = _perturbation(exp, f"orbital.experiments[{i}]" if listed else "seed")
         run_cfg = dict(cfg, seed={"kind": "exact_perturbed", "eps1": eps1, "eps2": eps2})
         seed = build_seed(run_cfg, problem)
         result, engine = _run_engine(run_cfg, problem, factor, seed, itconfig)
@@ -510,7 +525,7 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        cfg = load_recipe(args.recipe) if args.recipe else load_config(args.config)
+        cfg = _object(load_recipe(args.recipe) if args.recipe else load_config(args.config), "config")
         outdir = output_dir(cfg, args.out)
         return COMMANDS[args.command](cfg, outdir)
     except ConfigError as exc:

@@ -101,7 +101,6 @@ class StabilizingFactor:
     """Evaluation s(u), its homogeneity degree q, and gradient access."""
 
     descriptor: str
-    kind: str
     gamma: float
     degree: float  # q
     problem: ProblemModel
@@ -124,8 +123,7 @@ def _format_gamma(gamma: float) -> str:
 def petviashvili_factor(gamma, problem: ProblemModel, allow_marginal: bool = False) -> StabilizingFactor:
     """s(u) = (<Lu, u> / <N(u), u>)^gamma, the f = identity inner factor."""
     factor = inner_factor(F_MAPS["identity"], gamma, problem, allow_marginal=allow_marginal)
-    return replace(factor, descriptor=f"petviashvili:{_format_gamma(factor.gamma)}",
-                   kind="petviashvili")
+    return replace(factor, descriptor=f"petviashvili:{_format_gamma(factor.gamma)}")
 
 
 def inner_factor(f, gamma, problem: ProblemModel, allow_marginal: bool = False) -> StabilizingFactor:
@@ -171,7 +169,7 @@ def inner_factor(f, gamma, problem: ProblemModel, allow_marginal: bool = False) 
 
         return directional
 
-    return StabilizingFactor(descriptor, "inner", gamma, q, problem, ratio, gradient)
+    return StabilizingFactor(descriptor, gamma, q, problem, ratio, gradient)
 
 
 def _ratio_power_derivative(R: float, gamma: float) -> float:
@@ -269,7 +267,7 @@ def norm_factor(r, gamma, problem: ProblemModel, allow_marginal: bool = False) -
 
         return directional
 
-    factor = StabilizingFactor(descriptor, "norm", gamma, q, problem, ratio, gradient)
+    factor = StabilizingFactor(descriptor, gamma, q, problem, ratio, gradient)
     return factor
 
 

@@ -1,6 +1,6 @@
 """Fixed-point engines: the classical map L u_{n+1} = N(u_n), the stabilized
-map L u_{n+1} = s(u_n) N(u_n), and a damped-Newton fallback for states the
-stabilized family cannot reach.
+map L u_{n+1} = s(u_n) N(u_n), and damped Newton (matrix-free GMRES, right-
+preconditioned by L^{-1}) for states the stabilized family cannot reach.
 
 The residual monitor RE_n = ||L u_n - N(u_n)|| (Euclidean over node values,
 realified on complex fields) is recorded every iteration together with the
@@ -17,7 +17,6 @@ from numbers import Integral
 import numpy as np
 
 from .factors import StabilizingFactor
-from .linops import assemble_matrix
 from .problems import ProblemModel
 from .spectral import Field
 
@@ -27,8 +26,6 @@ MAX_ITERATIONS = "max_iterations"
 COLLAPSED = "collapsed"  # converged to the trivial state u = 0
 
 COLLAPSE_RATIO = 1e-8
-
-_DENSE_NEWTON_LIMIT = 2048
 
 
 @dataclass(frozen=True)
@@ -164,9 +161,9 @@ def newton_solve(problem: ProblemModel, u0: Field, config: IterationConfig | Non
     """Damped Newton on G(u) = L u - N(u) with backtracking line search.
 
     Works on the state's linearization space (real, realified, or phase
-    channel).  Dense solves up to dimension 2048 fall back to minimum-norm
-    least squares when the Jacobian is symmetry-singular; larger systems use
-    matrix-free GMRES.
+    channel).  Each step solves J delta = -g matrix-free, by GMRES on J L^{-1}
+    (right preconditioning by the problem's own solve_L); a step is taken
+    only when GMRES meets its target, otherwise the run reports divergence.
     """
     cfg = config or IterationConfig()
     if problem.jacN_action is None:
@@ -178,9 +175,7 @@ def newton_solve(problem: ProblemModel, u0: Field, config: IterationConfig | Non
     u = problem.project_pinned(u0)
     w = space.to_vector(u)
 
-    def G_of(vec: np.ndarray) -> np.ndarray:
-        f = space.from_vector(vec)
-        return space.to_vector(problem.apply_L(f) - problem.apply_N(f))
+    G_of = space.wrap(lambda f: problem.apply_L(f) - problem.apply_N(f))
 
     res_hist: list[float] = []
     norm_hist: list[float] = []
@@ -202,14 +197,7 @@ def newton_solve(problem: ProblemModel, u0: Field, config: IterationConfig | Non
             status = MAX_ITERATIONS
             break
 
-        u_field = space.from_vector(w)
-
-        def jac_action(vec: np.ndarray) -> np.ndarray:
-            f = space.from_vector(vec)
-            out = problem.apply_L(f) - problem.jacN_action(u_field, f)
-            return space.to_vector(problem.project_pinned(out))
-
-        step = _newton_direction(jac_action, g, space.dim, cfg.residual_tolerance)
+        step = _newton_direction(problem, space, space.from_vector(w), g, cfg.residual_tolerance)
         if step is None:
             status = DIVERGED
             break
@@ -231,7 +219,6 @@ def newton_solve(problem: ProblemModel, u0: Field, config: IterationConfig | Non
         if stored is not None:
             stored.append(space.from_vector(w))
 
-    final = space.from_vector(w)
     trace = IterationTrace(
         residuals=np.asarray(res_hist),
         factor_discrepancies=np.full(len(res_hist), np.nan),
@@ -239,7 +226,7 @@ def newton_solve(problem: ProblemModel, u0: Field, config: IterationConfig | Non
         status=_unless_collapsed(status, norm_hist),
         all_iterates=stored,
     )
-    return SolveResult(final=final, trace=trace)
+    return SolveResult(final=space.from_vector(w), trace=trace)
 
 
 def _unless_collapsed(status: str, norms: list[float]) -> str:
@@ -248,22 +235,21 @@ def _unless_collapsed(status: str, norms: list[float]) -> str:
     return status
 
 
-def _newton_direction(jac_action, g: np.ndarray, dim: int, tol: float) -> np.ndarray | None:
-    if dim <= _DENSE_NEWTON_LIMIT:
-        J = assemble_matrix(jac_action, dim)
-        try:
-            step = np.linalg.solve(J, -g)
-        except np.linalg.LinAlgError:
-            step = None
-        if step is None or not np.all(np.isfinite(step)) \
-                or np.linalg.norm(J @ step + g) > 1e-8 * max(np.linalg.norm(g), 1e-300):
-            # symmetry-singular Jacobian: take the minimum-norm step
-            step, *_ = np.linalg.lstsq(J, -g, rcond=1e-12)
-        return step if np.all(np.isfinite(step)) else None
-    from scipy.sparse.linalg import LinearOperator, gmres  # loaded only for large systems
-    op = LinearOperator((dim, dim), matvec=jac_action)
-    step, info = gmres(op, -g, rtol=min(1e-6, tol / max(np.linalg.norm(g), 1e-300)),
-                       atol=0.0, maxiter=400, restart=80)
-    if info != 0 and np.linalg.norm(jac_action(step) + g) > 1e-3 * np.linalg.norm(g):
-        return None
-    return step
+def _newton_direction(problem: ProblemModel, space, at: Field, g: np.ndarray, tol: float) -> np.ndarray | None:
+    """The step L^{-1} y, where GMRES solves J L^{-1} y = -g for J = L - N'(at).
+
+    J L^{-1} = L (I - S) L^{-1} is similar to I - S, so the spectrum of S sets
+    the Krylov count.  A relative target floored at 1e-10 and an absolute one
+    of tol/10 keep the stop rule reachable far from the solution and at the
+    roundoff floor of a symmetry-singular J.
+    """
+    from scipy.sparse.linalg import LinearOperator, gmres  # loaded only by Newton solves
+
+    def action(y: np.ndarray) -> np.ndarray:  # J L^{-1} y = y - N'(at) L^{-1} y
+        v = space.from_vector(y)
+        return space.to_vector(problem.project_pinned(v - problem.jacN_action(at, problem.solve_L(v))))
+
+    rtol = max(min(1e-6, tol / max(np.linalg.norm(g), 1e-300)), 1e-10)
+    y, info = gmres(LinearOperator((space.dim,) * 2, matvec=action), -g, rtol=rtol, atol=0.1 * tol,
+                    maxiter=20, restart=80)
+    return space.wrap(problem.solve_L)(y) if info == 0 else None

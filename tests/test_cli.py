@@ -38,7 +38,7 @@ def soliton_config(outdir, **overrides):
         "factor": {"descriptor": "petviashvili:optimal"},
         "iteration": {"max_iterations": 100, "residual_tolerance": 1e-11},
         "seed": {"kind": "exact_perturbed", "eps1": 0.2, "eps2": 0.0},
-        "output": {"directory": str(outdir), "formats": ["csv", "json"]},
+        "output": {"directory": str(outdir)},
     }
     cfg.update(overrides)
     return cfg
@@ -57,7 +57,7 @@ def lump_config(outdir, points=64):
         "iteration": {"max_iterations": 500, "residual_tolerance": 1e-10},
         "seed": {"kind": "gaussian", "amplitude": 2.0, "width": 2.0},
         "continuation": {"values": [0.0, 0.1], "max_bisections": 2},
-        "output": {"directory": str(outdir), "formats": ["csv", "json"]},
+        "output": {"directory": str(outdir)},
     }
 
 
@@ -226,6 +226,14 @@ class TestSpectrum:
         assert main(["spectrum", "--config", cfg_path, "--out", str(tmp_path / "spec")]) == 2
         assert "spectrum_k" in capsys.readouterr().err
 
+    def test_unknown_iteration_key_exits_2(self, tmp_path, capsys):
+        cfg = load_recipe("table2")
+        cfg["iteration"]["max_iteration"] = 3
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["spectrum", "--config", cfg_path, "--out", str(tmp_path / "spec")]) == 2
+        err = capsys.readouterr().err
+        assert "iteration" in err and "'max_iteration'" in err
+
 
 class TestContinue:
     def test_two_stage_lump_run(self, tmp_path):
@@ -248,7 +256,7 @@ class TestContinue:
         assert "problem.family" in capsys.readouterr().err
 
     @pytest.mark.parametrize("setting", [{"values": [0.0, "abc"]}, {"max_bisections": None},
-                                         {"max_bisections": 2.5}])
+                                         {"max_bisections": 2.5}, {"max_bisection": 2}])
     def test_bad_continuation_block_exits_2(self, tmp_path, capsys, setting):
         cfg = lump_config(tmp_path / "cont")
         cfg["continuation"].update(setting)
@@ -329,6 +337,19 @@ class TestRecipes:
         problem = build_problem(cfg)
         build_factor(cfg, problem)
         build_iteration_config(cfg)
+
+    @pytest.mark.parametrize("command,recipe,block,value,path", [
+        ("orbital", "fig67", "orbital", {"experiments": [0.2]}, "orbital.experiments[0]"),
+        ("spectrum", "table2", "iteration", [1], "iteration"),
+        ("spectrum", "table2", "diagnostics", "exact", "diagnostics"),
+    ])
+    def test_block_that_is_not_an_object_exits_2(self, tmp_path, capsys, command, recipe, block,
+                                                   value, path):
+        cfg = load_recipe(recipe)
+        cfg[block] = value
+        cfg_path = write_config(tmp_path, cfg)
+        assert main([command, "--config", cfg_path, "--out", str(tmp_path / "run")]) == 2
+        assert f"config error: {path}: expected an object" in capsys.readouterr().err
 
     def test_unknown_recipe_exits_2(self, tmp_path):
         assert main(["solve", "--recipe", "not_a_recipe", "--out", str(tmp_path)]) == 2

@@ -1,8 +1,33 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import travwave as tw
-from travwave.spectral import Field, Grid1D
+from travwave.cli import build_iteration_config, build_problem, build_seed, load_recipe
+from travwave.spectral import Field, Grid1D, Grid2D
+
+# J L^-1 actions in one Newton step: the Krylov iterations of the
+# L^-1-preconditioned GMRES plus its true-residual check.  An unpreconditioned
+# or over-tight GMRES takes hundreds to thousands.
+NEWTON_ACTIONS_PER_STEP = 20
+
+
+def counting_jacobian(problem):
+    """The problem with jacN_action counted, and the list of per-step counts.
+
+    Each Newton step linearizes at a new state object, so a change of the
+    first argument starts a new count."""
+    counts, last = [], [None]
+
+    def action(u, w):
+        if u is not last[0]:
+            last[0] = u
+            counts.append(0)
+        counts[-1] += 1
+        return problem.jacN_action(u, w)
+
+    return dataclasses.replace(problem, jacN_action=action), counts
 
 
 class TestClassicalStep:
@@ -187,6 +212,35 @@ class TestNewton:
         quad = [r[i + 1] <= 10.0 * r[i] ** 1.8 for i in range(len(r) - 1)
                 if 1e-10 < r[i] < 1e-1]
         assert quad and all(quad)
+
+    def test_lump_with_4096_unknowns(self):
+        """A 64 x 64 lump has 4096 unknowns: Newton finishes a stabilized
+        iterate stopped at 1e-4 and lands on the stabilized solution."""
+        grid = Grid2D(Grid1D(10 * np.pi, 64), Grid1D(10 * np.pi, 64))
+        problem = tw.benjamin_lump(0.0, 1.0, grid)
+        factor = tw.petviashvili_factor("optimal", problem)
+        seed = tw.gaussian_seed(grid, 2.0, 2.0)
+        rough = tw.solve(problem, factor, seed, tw.IterationConfig(residual_tolerance=1e-4))
+        fine = tw.solve(problem, factor, seed, tw.IterationConfig(max_iterations=2000, residual_tolerance=1e-10))
+        assert rough.status == fine.status == "converged"
+        counted, counts = counting_jacobian(problem)
+        result = tw.newton_solve(counted, rough.final,
+                                 tw.IterationConfig(max_iterations=20, residual_tolerance=1e-10))
+        assert result.status == "converged"
+        assert np.max(np.abs(result.final.values - fine.final.values)) <= 1e-10
+        assert counts and max(counts) <= NEWTON_ACTIONS_PER_STEP
+
+    @pytest.mark.parametrize("width_scale,status", [(1.0, "converged"), (0.9, "collapsed")],
+                             ids=["double_well", "collapse"])
+    def test_krylov_actions_per_step_stay_small(self, width_scale, status):
+        cfg = load_recipe("table1_col34")
+        cfg["seed"]["width"] *= width_scale
+        problem = build_problem(cfg)
+        counted, counts = counting_jacobian(problem)
+        result = tw.newton_solve(counted, build_seed(cfg, problem), build_iteration_config(cfg))
+        assert result.status == status
+        assert len(counts) == result.trace.iteration_count
+        assert max(counts) <= NEWTON_ACTIONS_PER_STEP
 
     def test_requires_jacobian(self, grid_1d):
         problem = tw.nls_soliton(tw.SolitonParameters(1.0, 1.0, 1.0), grid_1d)
