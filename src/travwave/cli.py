@@ -5,6 +5,10 @@ JSON config (from --config or a bundled --recipe) and writes CSV series plus
 JSON reports into the output directory.  Identical configs produce
 bit-identical outputs: there is no randomness anywhere in the pipeline.
 
+Every config block is read by `_read`, against keys declared next to its
+builder, before anything is solved: an unknown key, a missing one or a value
+of the wrong JSON type is a config error that names its key path.
+
 Exit codes: 0 success (a reported divergence is a valid result), 2 config
 error, 3 runtime failure.
 """
@@ -16,8 +20,9 @@ import csv
 import importlib.resources
 import json
 import sys
-from dataclasses import asdict, fields
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -58,160 +63,191 @@ def load_recipe(name: str) -> dict:
     return json.loads(ref.read_text())
 
 
-def _require(block: dict, key: str, context: str):
-    if key not in block:
-        raise ConfigError(f"missing field {context}.{key}")
-    return block[key]
+BLOCKS = ("problem", "factor", "iteration", "seed", "diagnostics", "continuation", "orbital", "output")
+EXPECTED = {float: "a number", int: "an integer", str: "a string", bool: "true or false", dict: "an object"}
 
 
-def _object(value, path: str) -> dict:
-    """A config block, which must be a JSON object; `path` names its key."""
-    if not isinstance(value, dict):
-        raise ConfigError(f"{path}: expected an object, got {value!r}")
-    return value
+def _typed(value, kind, path: str):
+    """`value` checked against the JSON type `kind`: float (any number, returned
+    as a float), int, str, bool or dict; list[...] or tuple[...] for a list; or
+    a union of these.  A boolean is never a number."""
+    if get_origin(kind) in (list, tuple):
+        if not isinstance(value, list):
+            raise ConfigError(f"{path}: expected a list, got {value!r}")
+        return [_typed(item, get_args(kind)[0], f"{path}[{i}]") for i, item in enumerate(value)]
+    options = get_args(kind) or (kind,)
+    for option in options:
+        accepted = (int, float) if option is float else option
+        if isinstance(value, accepted) and isinstance(value, bool) == (option is bool):
+            return float(value) if option is float else value
+    raise ConfigError(f"{path}: expected {' or '.join(EXPECTED[o] for o in options)}, got {value!r}")
+
+
+def _read(block, path: str, required: dict, optional: dict = {}) -> dict:
+    """The entries of the config object `block` at key path `path` ("" for the
+    whole config).  Every key must be declared in `required` or `optional`,
+    which map it to its JSON type (see `_typed`); absent optional keys are left
+    out, so their defaults stay with the function that takes them."""
+    where = path or "config"
+    if not isinstance(block, dict):
+        raise ConfigError(f"missing field {where}" if block is None
+                          else f"{where}: expected an object, got {block!r}")
+    for key in required:
+        if key not in block:
+            raise ConfigError(f"missing field {where}.{key}")
+    keys = {**required, **optional}
+    unknown = sorted(set(block) - set(keys))
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {unknown}; allowed: {sorted(keys)}")
+    return {key: _typed(value, keys[key], f"{path}.{key}" if path else key) for key, value in block.items()}
+
+
+def _variant(block, path: str, key: str, variants: dict, default: str | None = None) -> tuple[str, dict]:
+    """A block whose keys depend on the string at `key` (`default` when absent):
+    that string and the block's other entries, read against `variants[string]`,
+    a (required, optional) pair of key declarations."""
+    name = block.get(key, default) if isinstance(block, dict) else default
+    if name is not None and _typed(name, str, f"{path}.{key}") not in variants:
+        raise ConfigError(f"{path}.{key}: unknown {key} {name!r}")
+    required, optional = variants.get(name, ({}, {}))
+    values = _read(block, path, required if default else {key: str, **required}, {key: str, **optional})
+    return values.pop(key, default), values
+
+
+def _dataclass(cls, block, path: str, extra: dict = {}):
+    """`cls` built from the block at `path`, whose keys are the fields of `cls`
+    (required unless they have a default) and the `extra` keys; with it, the
+    values given for the extra keys."""
+    hints, required, optional = get_type_hints(cls), {}, dict(extra)
+    for f in fields(cls):
+        (required if f.default is MISSING else optional)[f.name] = hints[f.name]
+    values = _read(block, path, required, optional)
+    rest = {key: values.pop(key) for key in extra if key in values}
+    try:
+        return cls(**values), rest
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+GRID_1D = {"half_length": float, "points": int}
+GRID_2D = {"half_length_x": float, "points_x": int, "half_length_z": float, "points_z": int}
 
 
 def build_grid(problem_block: dict):
-    grid_block = _object(_require(problem_block, "grid", "problem"), "problem.grid")
+    block = problem_block.get("grid")
+    g = _read(block, "problem.grid", GRID_2D if isinstance(block, dict) and "points_x" in block else GRID_1D)
     try:
-        if "points_x" in grid_block:
-            gx = Grid1D(float(_require(grid_block, "half_length_x", "problem.grid")),
-                        int(_require(grid_block, "points_x", "problem.grid")))
-            gz = Grid1D(float(_require(grid_block, "half_length_z", "problem.grid")),
-                        int(_require(grid_block, "points_z", "problem.grid")))
-            return Grid2D(gx, gz)
-        return Grid1D(float(_require(grid_block, "half_length", "problem.grid")),
-                      int(_require(grid_block, "points", "problem.grid")))
+        if "points_x" in g:
+            return Grid2D(Grid1D(g["half_length_x"], g["points_x"]), Grid1D(g["half_length_z"], g["points_z"]))
+        return Grid1D(g["half_length"], g["points"])
     except ValueError as exc:
         raise ConfigError(f"problem.grid: {exc}") from None
 
 
+POTENTIALS = {"sech2": ({}, {"amplitude": float, "center": float}),
+              "double_well": ({}, {"depth": float, "separation": float}),
+              "zero": ({}, {})}
+
+
 def build_potential(pot_block: dict, grid: Grid1D) -> np.ndarray:
-    kind = _require(pot_block, "kind", "problem.potential")
+    kind, values = _variant(pot_block, "problem.potential", "kind", POTENTIALS)
     if kind == "sech2":
-        return problems.sech2_potential(grid, amplitude=float(pot_block.get("amplitude", 1.0)),
-                                        center=float(pot_block.get("center", 0.0)))
+        return problems.sech2_potential(grid, **values)
     if kind == "double_well":
-        return problems.double_well_potential(grid, depth=float(pot_block.get("depth", 6.0)),
-                                              separation=float(pot_block.get("separation", 1.0)))
-    if kind == "zero":
-        return np.zeros(grid.point_count)
-    raise ConfigError(f"problem.potential.kind: unknown kind {kind!r}")
+        return problems.double_well_potential(grid, **values)
+    return np.zeros(grid.point_count)
+
+
+FAMILIES = {"nls_ground_state": ({"grid": dict, "potential": dict, "mu": float}, {}),
+            "nls_soliton": ({"grid": dict, "sigma": float, "lambda1": float, "lambda2": float}, {}),
+            "benjamin_lump": ({"grid": dict, "Gamma": float, "sound_speed": float}, {})}
 
 
 def build_problem(cfg: dict):
-    block = _object(_require(cfg, "problem", "config"), "problem")
-    family = _require(block, "family", "problem")
-    grid = build_grid(block)
+    family, values = _variant(cfg.get("problem"), "problem", "family", FAMILIES)
+    grid = build_grid(values)
+    if isinstance(grid, Grid2D) != (family == "benjamin_lump"):
+        raise ConfigError(f"problem.grid: {family} needs a {'2D' if family == 'benjamin_lump' else '1D'} grid")
+    V = build_potential(values["potential"], grid) if family == "nls_ground_state" else None
     try:
         if family == "nls_ground_state":
-            if not isinstance(grid, Grid1D):
-                raise ConfigError("problem.grid: nls_ground_state needs a 1D grid")
-            V = build_potential(_object(_require(block, "potential", "problem"), "problem.potential"), grid)
-            return problems.nls_ground_state(V, float(_require(block, "mu", "problem")), grid)
+            return problems.nls_ground_state(V, values["mu"], grid)
         if family == "nls_soliton":
-            if not isinstance(grid, Grid1D):
-                raise ConfigError("problem.grid: nls_soliton needs a 1D grid")
-            params = problems.SolitonParameters(
-                sigma=float(_require(block, "sigma", "problem")),
-                lambda1=float(_require(block, "lambda1", "problem")),
-                lambda2=float(_require(block, "lambda2", "problem")),
-            )
-            return problems.nls_soliton(params, grid)
-        if family == "benjamin_lump":
-            if not isinstance(grid, Grid2D):
-                raise ConfigError("problem.grid: benjamin_lump needs a 2D grid")
-            return problems.benjamin_lump(float(_require(block, "Gamma", "problem")),
-                                          float(_require(block, "sound_speed", "problem")), grid)
-    except ConfigError:
-        raise
+            return problems.nls_soliton(problems.SolitonParameters(
+                sigma=values["sigma"], lambda1=values["lambda1"], lambda2=values["lambda2"]), grid)
+        return problems.benjamin_lump(values["Gamma"], values["sound_speed"], grid)
     except ValueError as exc:
         raise ConfigError(f"problem: {exc}") from None
-    raise ConfigError(f"problem.family: unknown family {family!r}")
 
 
-def _field_values(cls, block, path: str, extra: tuple[str, ...] = ()) -> dict:
-    """The entries of the config block at `path`, each of which must name a
-    field of the dataclass `cls` (returned) or one of `extra` (dropped)."""
-    names = {f.name for f in fields(cls)}
-    unknown = sorted(set(_object(block, path)) - names - set(extra))
-    if unknown:
-        raise ConfigError(f"{path}: unknown keys {unknown}; allowed: {sorted(names.union(extra))}")
-    return {key: value for key, value in block.items() if key in names}
+def _iteration(cfg: dict) -> tuple[IterationConfig, str]:
+    """The iteration block: the IterationConfig fields plus `engine`."""
+    itconfig, rest = _dataclass(IterationConfig, cfg.get("iteration", {}), "iteration", {"engine": str})
+    engine = rest.get("engine", "stabilized")
+    if engine not in ("stabilized", "newton"):
+        raise ConfigError(f"iteration.engine: unknown engine {engine!r}")
+    return itconfig, engine
 
 
 def build_iteration_config(cfg: dict) -> IterationConfig:
-    values = _field_values(IterationConfig, cfg.get("iteration", {}), "iteration", extra=("engine",))
-    try:
-        return IterationConfig(**values)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"iteration: {exc}") from None
+    return _iteration(cfg)[0]
 
 
 def build_factor(cfg: dict, problem):
-    block = _object(_require(cfg, "factor", "config"), "factor")
-    descriptor = _require(block, "descriptor", "factor")
+    descriptor = _read(cfg.get("factor"), "factor", {"descriptor": str})["descriptor"]
     try:
         return factors.from_descriptor(descriptor, problem)
     except (factors.DescriptorError, factors.FactorPropertyError) as exc:
         raise ConfigError(f"factor.descriptor: {exc}") from None
 
 
-def _seed_phase(seed_block: dict, problem) -> complex:
-    phase = seed_block.get("phase")
+def _seed_phase(phase, problem) -> complex:
     if phase is None:
         return problem.seed_phase if problem.is_complex else 1.0
     if phase == "real":
         return 1.0
     if phase == "imaginary":
         return 1.0j
+    if isinstance(phase, str):
+        raise ConfigError(f"seed.phase: expected 'real', 'imaginary' or an angle, got {phase!r}")
+    return complex(np.exp(1j * phase))
+
+
+def _amplitudes(block, path: str, kind: dict = {}) -> tuple[float, float]:
+    """(eps1, eps2) of an exact_perturbed seed: gauge and translation amplitudes."""
     try:
-        return complex(np.exp(1j * float(phase)))
-    except (TypeError, ValueError):
-        raise ConfigError(f"seed.phase: expected 'real', 'imaginary' or an angle, got {phase!r}") from None
+        eps = _read(block, path, {}, {**kind, "eps1": float, "eps2": float})
+    except ConfigError as exc:
+        raise ConfigError(f"{exc} (an exact_perturbed seed takes eps1 and eps2, both numbers)") from None
+    return eps.get("eps1", 0.0), eps.get("eps2", 0.0)
+
+
+SEEDS = {"gaussian": ({"amplitude": float, "width": float}, {"antisymmetric": bool, "phase": str | float}),
+         "file": ({"path": str}, {})}
 
 
 def build_seed(cfg: dict, problem) -> Field:
-    block = _object(_require(cfg, "seed", "config"), "seed")
-    kind = _require(block, "kind", "seed")
-    if kind == "gaussian":
-        try:
-            seed = problems.gaussian_seed(problem.grid,
-                                          float(_require(block, "amplitude", "seed")),
-                                          float(_require(block, "width", "seed")),
-                                          antisymmetric=bool(block.get("antisymmetric", False)))
-        except ValueError as exc:
-            raise ConfigError(f"seed: {exc}") from None
-        phase = _seed_phase(block, problem)
-        if problem.is_complex:
-            return seed.with_values(phase * seed.values.astype(complex))
-        return seed
-    if kind == "exact_perturbed":
+    block = cfg.get("seed")
+    if isinstance(block, dict) and block.get("kind") == "exact_perturbed":
         if problem.exact_solution is None:
             raise ConfigError("seed.kind: exact_perturbed requires a problem with an exact solution")
-        eps1, eps2 = _perturbation(block, "seed")
+        eps1, eps2 = _amplitudes(block, "seed", {"kind": str})
         exact = problem.exact_solution()
         return exact + eps1 * exact.with_values(1j * exact.values) + eps2 * derivative(exact, 1)
+    kind, values = _variant(block, "seed", "kind", SEEDS)
     if kind == "file":
-        path = _require(block, "path", "seed")
-        return read_profile_csv(path, problem)
-    raise ConfigError(f"seed.kind: unknown kind {kind!r}")
-
-
-def _perturbation(block, path: str) -> tuple[float, float]:
-    """(eps1, eps2) of an exact_perturbed seed: gauge and translation amplitudes."""
-    eps = _object(block, path)
+        return read_profile_csv(values["path"], problem)
+    phase = _seed_phase(values.pop("phase", None), problem)
     try:
-        return float(eps.get("eps1", 0.0)), float(eps.get("eps2", 0.0))
-    except (TypeError, ValueError):
-        raise ConfigError(f"{path}: eps1 and eps2 must be numbers, got {block!r}") from None
+        seed = problems.gaussian_seed(problem.grid, **values)
+    except ValueError as exc:
+        raise ConfigError(f"seed: {exc}") from None
+    return seed.with_values(phase * seed.values.astype(complex)) if problem.is_complex else seed
 
 
 def output_dir(cfg: dict, override: str | None) -> Path:
-    if override:
-        out = Path(override)
-    else:
-        out = Path(_require(_object(_require(cfg, "output", "config"), "output"), "directory", "output"))
+    values = _read(cfg.get("output", {}), "output", {} if override else {"directory": str}, {"directory": str})
+    out = Path(override or values["directory"])
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -261,25 +297,25 @@ def write_cross_sections(outdir: Path, field: Field) -> None:
     _write_csv(outdir / "profile_zcut.csv", "z,value", _prefixes(gz.nodes), np.real(vals[i, :]))
 
 
-def read_profile_csv(path: str | Path, problem) -> Field:
+def read_profile_csv(path: str | Path, problem, key: str = "seed.path") -> Field:
     try:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
     except FileNotFoundError:
-        raise ConfigError(f"seed.path: profile file not found: {path}") from None
+        raise ConfigError(f"{key}: profile file not found: {path}") from None
     try:
         header, data = rows[0], rows[1:]
         re_col, im_col = header.index("re"), header.index("im")
         values = np.array([float(r[re_col]) + 1j * float(r[im_col]) for r in data])
     except (IndexError, ValueError):
-        raise ConfigError(f"seed.path: {path} is not a profile CSV with 're' and 'im' columns") from None
+        raise ConfigError(f"{key}: {path} is not a profile CSV with 're' and 'im' columns") from None
     expected = int(np.prod(problem.grid.shape))
     if values.size != expected:
-        raise ConfigError(f"seed.path: profile has {values.size} nodes, grid needs {expected}")
+        raise ConfigError(f"{key}: profile has {values.size} nodes, grid needs {expected}")
     values = values.reshape(problem.grid.shape)
     if not problem.is_complex:
         if np.max(np.abs(values.imag)) > 1e-12 * max(np.max(np.abs(values)), 1.0):
-            raise ConfigError("seed.path: complex profile supplied to a real-field problem")
+            raise ConfigError(f"{key}: complex profile supplied to a real-field problem")
         values = values.real
     return Field(problem.grid, values)
 
@@ -322,18 +358,10 @@ def summary_payload(cfg: dict, problem, factor, result: SolveResult, engine: str
 # commands
 
 
-def _engine(cfg: dict) -> str:
-    engine = _object(cfg.get("iteration", {}), "iteration").get("engine", "stabilized")
-    if engine not in ("stabilized", "newton"):
-        raise ConfigError(f"iteration.engine: unknown engine {engine!r}")
-    return engine
-
-
-def _run_engine(cfg: dict, problem, factor, seed: Field, itconfig: IterationConfig):
-    engine = _engine(cfg)
+def _run_engine(engine: str, problem, factor, seed: Field, itconfig: IterationConfig) -> SolveResult:
     if engine == "newton":
-        return newton_solve(problem, seed, itconfig), engine
-    return solve(problem, factor, seed, itconfig), engine
+        return newton_solve(problem, seed, itconfig)
+    return solve(problem, factor, seed, itconfig)
 
 
 def _solve_outputs(outdir: Path, cfg: dict, problem, factor, result: SolveResult, engine: str,
@@ -348,51 +376,44 @@ def _solve_outputs(outdir: Path, cfg: dict, problem, factor, result: SolveResult
 def cmd_solve(cfg: dict, outdir: Path) -> int:
     problem = build_problem(cfg)
     factor = build_factor(cfg, problem)
-    itconfig = build_iteration_config(cfg)
+    itconfig, engine = _iteration(cfg)
     seed = build_seed(cfg, problem)
-    result, engine = _run_engine(cfg, problem, factor, seed, itconfig)
+    result = _run_engine(engine, problem, factor, seed, itconfig)
     _solve_outputs(outdir, cfg, problem, factor, result, engine, itconfig)
     return 0
 
 
-def _resolve_state(cfg: dict, problem, factor, itconfig,
-                   seed: Field | None) -> tuple[Field, SolveResult | None, str]:
-    diag = _object(cfg.get("diagnostics", {}), "diagnostics")
-    state_kind = diag.get("state", "solve")
-    if state_kind == "exact":
-        if problem.exact_solution is None:
-            raise ConfigError("diagnostics.state: problem has no exact solution oracle")
-        return problem.exact_solution(), None, "exact"
-    if state_kind == "file":
-        path = diag.get("state_path")
-        if not path:
-            raise ConfigError("diagnostics.state_path: required when state is 'file'")
-        if not Path(path).exists():
-            raise FileNotFoundError(f"state file not found: {path}")
-        return read_profile_csv(path, problem), None, "file"
-    if state_kind == "solve":
-        if seed is None:
-            raise ConfigError("missing field config.seed")
-        result, engine = _run_engine(cfg, problem, factor, seed, itconfig)
-        return result.final, result, engine
-    raise ConfigError(f"diagnostics.state: unknown state {state_kind!r}")
+STATES = {state: (required, {"spectrum_k": int})
+          for state, required in (("solve", {}), ("exact", {}), ("file", {"state_path": str}))}
 
 
 def cmd_spectrum(cfg: dict, outdir: Path) -> int:
     problem = build_problem(cfg)
     factor = build_factor(cfg, problem)
-    itconfig = build_iteration_config(cfg)
-    k = _object(cfg.get("diagnostics", {}), "diagnostics").get("spectrum_k", 6)
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+    itconfig, engine = _iteration(cfg)
+    seed = build_seed(cfg, problem) if "seed" in cfg else None
+    state_kind, diag = _variant(cfg.get("diagnostics", {}), "diagnostics", "state", STATES, default="solve")
+    k = diag.get("spectrum_k", 6)
+    if k < 1:
         raise ConfigError(f"diagnostics.spectrum_k: expected a positive integer, got {k!r}")
 
-    seed = build_seed(cfg, problem) if "seed" in cfg else None
-    state, result, engine = _resolve_state(cfg, problem, factor, itconfig, seed)
-    if result is not None:
+    if state_kind == "exact":
+        if problem.exact_solution is None:
+            raise ConfigError("diagnostics.state: problem has no exact solution oracle")
+        state = problem.exact_solution()
+    elif state_kind == "file":
+        if not Path(diag["state_path"]).exists():
+            raise FileNotFoundError(f"state file not found: {diag['state_path']}")
+        state = read_profile_csv(diag["state_path"], problem, "diagnostics.state_path")
+    else:
+        if seed is None:
+            raise ConfigError("missing field seed")
+        result = _run_engine(engine, problem, factor, seed, itconfig)
         _solve_outputs(outdir, cfg, problem, factor, result, engine, itconfig)
         if result.status == COLLAPSED:
             raise RuntimeError(f"the {engine} solve collapsed to the trivial state u = 0; "
                                "its spectra say nothing about a traveling wave")
+        state = result.final
 
     spec_S = diagnostics.iteration_matrix_spectrum(problem, state, k, seed=seed)
     spec_F = diagnostics.jacobian_spectrum(problem, factor, state, k)
@@ -416,25 +437,19 @@ def cmd_spectrum(cfg: dict, outdir: Path) -> int:
 
 
 def cmd_continue(cfg: dict, outdir: Path) -> int:
-    values = _field_values(HomotopyPath, _require(cfg, "continuation", "config"), "continuation")
-    try:
-        path = HomotopyPath(**values)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"continuation: {exc}") from None
-    engine = _engine(cfg)
+    path, _ = _dataclass(HomotopyPath, cfg.get("continuation"), "continuation")
+    itconfig, engine = _iteration(cfg)
     if engine != "stabilized":
         raise ConfigError(f"iteration.engine: continue runs the stabilized engine, got {engine!r}")
-    problem_block = _object(_require(cfg, "problem", "config"), "problem")
-
-    def family(gamma: float):
-        return build_problem({**cfg, "problem": {**problem_block, "Gamma": gamma}})
-
-    base_problem = family(path.values[0])
+    base_problem = build_problem(cfg)
     if base_problem.name != "benjamin_lump":
         raise ConfigError("problem.family: only benjamin_lump supports Gamma continuation")
-    for value in path.values[1:]:
+
+    def family(gamma: float):
+        return build_problem({**cfg, "problem": {**cfg["problem"], "Gamma": gamma}})
+
+    for value in path.values:
         family(value)  # a value outside the family is a config error before any stage is solved
-    itconfig = build_iteration_config(cfg)
     seed = build_seed(cfg, base_problem)
 
     res = continue_solve(family, path, seed, lambda problem: build_factor(cfg, problem), itconfig)
@@ -469,18 +484,17 @@ def cmd_orbital(cfg: dict, outdir: Path) -> int:
     if problem.name != "nls_soliton":
         raise ConfigError("problem.family: orbital experiments require nls_soliton")
     factor = build_factor(cfg, problem)
-    itconfig = build_iteration_config(cfg)
-    listed = _object(cfg.get("orbital", {}), "orbital").get("experiments") or []
-    if not isinstance(listed, list):
-        raise ConfigError(f"orbital.experiments: expected a list, got {listed!r}")
+    itconfig, engine = _iteration(cfg)
+    listed = _read(cfg.get("orbital", {}), "orbital", {}, {"experiments": list[dict]}).get("experiments")
+    runs = ([_amplitudes(exp, f"orbital.experiments[{i}]") for i, exp in enumerate(listed)] if listed
+            else [_amplitudes(cfg.get("seed", {}), "seed", {"kind": str})])
 
     params = problems.SolitonParameters(**problem.params)
     index = []
-    for i, exp in enumerate(listed or [cfg.get("seed", {})]):
-        eps1, eps2 = _perturbation(exp, f"orbital.experiments[{i}]" if listed else "seed")
+    for eps1, eps2 in runs:
         run_cfg = dict(cfg, seed={"kind": "exact_perturbed", "eps1": eps1, "eps2": eps2})
         seed = build_seed(run_cfg, problem)
-        result, engine = _run_engine(run_cfg, problem, factor, seed, itconfig)
+        result = _run_engine(engine, problem, factor, seed, itconfig)
         sub = outdir / f"run_eps1_{eps1:g}_eps2_{eps2:g}"
         sub.mkdir(parents=True, exist_ok=True)
         _solve_outputs(sub, run_cfg, problem, factor, result, engine, itconfig)
@@ -525,7 +539,8 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        cfg = _object(load_recipe(args.recipe) if args.recipe else load_config(args.config), "config")
+        cfg = _read(load_recipe(args.recipe) if args.recipe else load_config(args.config), "", {},
+                    dict.fromkeys(BLOCKS, dict))
         outdir = output_dir(cfg, args.out)
         return COMMANDS[args.command](cfg, outdir)
     except ConfigError as exc:

@@ -89,11 +89,13 @@ def _power(ratio: float, gamma: float) -> float:
 
 
 def _resolve_gamma(gamma, p: float) -> float:
-    if isinstance(gamma, str):
-        if gamma != "optimal":
-            raise DescriptorError(f"gamma must be a number or 'optimal', got {gamma!r}")
+    """gamma given as "optimal" or a number (or a number's string)."""
+    if gamma == "optimal":
         return optimal_gamma(p)
-    return float(gamma)
+    try:
+        return float(gamma)
+    except (TypeError, ValueError):
+        raise DescriptorError(f"gamma must be a number or 'optimal', got {gamma!r}") from None
 
 
 @dataclass(frozen=True)
@@ -280,11 +282,11 @@ def from_descriptor(descriptor: str, problem: ProblemModel, allow_marginal: bool
     parts = descriptor.split(":")
     try:
         if parts[0] == "petviashvili" and len(parts) == 2:
-            return petviashvili_factor(_gamma_token(parts[1]), problem, allow_marginal)
+            return petviashvili_factor(parts[1], problem, allow_marginal)
         if parts[0] == "inner" and len(parts) == 3 and parts[1].startswith("f="):
-            return inner_factor(parts[1][2:], _gamma_token(parts[2]), problem, allow_marginal)
+            return inner_factor(parts[1][2:], parts[2], problem, allow_marginal)
         if parts[0] == "norm" and len(parts) == 3:
-            return norm_factor(parts[1], _gamma_token(parts[2]), problem, allow_marginal)
+            return norm_factor(parts[1], parts[2], problem, allow_marginal)
     except (ValueError, KeyError) as exc:
         if isinstance(exc, (DescriptorError, FactorPropertyError)):
             raise
@@ -294,11 +296,3 @@ def from_descriptor(descriptor: str, problem: ProblemModel, allow_marginal: bool
         "'inner:f=<name>:<gamma>' or 'norm:<r>:<gamma>'"
     )
 
-
-def _gamma_token(token: str):
-    if token == "optimal":
-        return "optimal"
-    try:
-        return float(token)
-    except ValueError:
-        raise DescriptorError(f"gamma must be a number or 'optimal', got {token!r}") from None

@@ -35,16 +35,6 @@ class VectorSpace:
         return vec_action
 
 
-def real_space(grid: Grid) -> VectorSpace:
-    shape = grid.shape
-    n = int(np.prod(shape))
-    return VectorSpace(
-        dim=n,
-        to_vector=lambda f: np.ascontiguousarray(f.values.real).ravel().copy(),
-        from_vector=lambda v: Field(grid, v.reshape(shape).astype(np.float64)),
-    )
-
-
 def realified_space(grid: Grid) -> VectorSpace:
     shape = grid.shape
     n = int(np.prod(shape))

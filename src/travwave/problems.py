@@ -126,7 +126,7 @@ class ProblemModel:
         channel; real-linear complex problems realify to R^{2m}.
         """
         if not self.is_complex:
-            return linops.real_space(self.grid)
+            return linops.phase_channel_space(self.grid, 1.0)
         if self.jac_complex_linear and at is not None:
             nrm = at.norm
             if nrm > 0:

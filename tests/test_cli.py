@@ -322,6 +322,14 @@ class TestOrbital:
         assert main(["orbital", "--config", cfg_path, "--out", str(tmp_path / "orb")]) == 2
         assert "eps1 and eps2" in capsys.readouterr().err
 
+    def test_bad_later_experiment_exits_2_before_any_run(self, tmp_path, capsys):
+        cfg = load_recipe("fig67")
+        cfg["orbital"]["experiments"][1]["eps2"] = "abc"
+        out = tmp_path / "orb"
+        assert main(["orbital", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+        assert "orbital.experiments[1].eps2" in capsys.readouterr().err
+        assert not list(out.glob("run_*"))
+
     def test_unknown_engine_exits_2(self, tmp_path, capsys):
         cfg = load_recipe("fig67")
         cfg["iteration"]["engine"] = "nwton"
@@ -350,6 +358,40 @@ class TestRecipes:
         cfg_path = write_config(tmp_path, cfg)
         assert main([command, "--config", cfg_path, "--out", str(tmp_path / "run")]) == 2
         assert f"config error: {path}: expected an object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,recipe,keys,value,message", [
+        ("spectrum", "table2", ["problem", "sigmaa"], 1.0, "problem: unknown keys ['sigmaa']"),
+        ("spectrum", "table2", ["problem", "grid", "pointz"], 512,
+         "problem.grid: unknown keys ['pointz']"),
+        ("spectrum", "table2", ["seed", "eps3"], 0.1, "seed: unknown keys ['eps3']"),
+        ("spectrum", "table2", ["diagnostics", "spectrum_kk"], 4,
+         "diagnostics: unknown keys ['spectrum_kk']"),
+        ("spectrum", "table2", ["factor", "gama"], 1.5, "factor: unknown keys ['gama']"),
+        ("spectrum", "table2", ["iteraton"], {"max_iterations": 5}, "config: unknown keys ['iteraton']"),
+        ("spectrum", "table2", ["seed", "phase"], "imaginary", "seed: unknown keys ['phase']"),
+        ("spectrum", "table2", ["problem", "grid", "points"], 64.5,
+         "problem.grid.points: expected an integer, got 64.5"),
+        ("spectrum", "table1_col12", ["seed", "antisymmetric"], "false",
+         "seed.antisymmetric: expected true or false, got 'false'"),
+        ("spectrum", "table1_col12", ["iteration", "residual_tolerance"], True,
+         "iteration.residual_tolerance: expected a number, got True"),
+        ("solve", "table1_col12", ["iteration", "store_all"], "no",
+         "iteration.store_all: expected true or false, got 'no'"),
+        ("continue", "fig2", ["continuation", "values", 0], False,
+         "continuation.values[0]: expected a number, got False"),
+        ("orbital", "fig67", ["output", "directry"], "out", "output: unknown keys ['directry']"),
+    ])
+    def test_ignored_or_mistyped_key_exits_2(self, tmp_path, capsys, command, recipe, keys, value,
+                                             message):
+        cfg = load_recipe(recipe)
+        block = cfg
+        for key in keys[:-1]:
+            block = block[key]
+        block[keys[-1]] = value
+        out = tmp_path / "run"
+        assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not list(out.glob("*"))
 
     def test_unknown_recipe_exits_2(self, tmp_path):
         assert main(["solve", "--recipe", "not_a_recipe", "--out", str(tmp_path)]) == 2
@@ -481,6 +523,15 @@ class TestBadProfiles:
         cfg = soliton_config(tmp_path / "x")
         cfg["diagnostics"] = {"state": "file", "state_path": str(bad)}
         assert main(["spectrum", "--config", write_config(tmp_path, cfg)]) == 2
+
+
+    def test_state_profile_error_names_state_path(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("x,value\r\n0,1\r\n")
+        cfg = soliton_config(tmp_path / "x")
+        cfg["diagnostics"] = {"state": "file", "state_path": str(bad)}
+        assert main(["spectrum", "--config", write_config(tmp_path, cfg)]) == 2
+        assert "config error: diagnostics.state_path: " in capsys.readouterr().err
 
 
 class TestCollapse:
