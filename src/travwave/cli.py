@@ -348,8 +348,7 @@ def summary_payload(cfg: dict, problem, factor, result: SolveResult, engine: str
         "factor": factor.descriptor if factor is not None else None,
         "problem": {"family": problem.name, **problem.params},
         "grid": grid_meta,
-        # store_all only decides which iterates stay in memory
-        "iteration_config": {k: v for k, v in asdict(itconfig).items() if k != "store_all"},
+        "iteration_config": asdict(itconfig),
         "seed": cfg.get("seed"),
     }
 
@@ -402,8 +401,6 @@ def cmd_spectrum(cfg: dict, outdir: Path) -> int:
             raise ConfigError("diagnostics.state: problem has no exact solution oracle")
         state = problem.exact_solution()
     elif state_kind == "file":
-        if not Path(diag["state_path"]).exists():
-            raise FileNotFoundError(f"state file not found: {diag['state_path']}")
         state = read_profile_csv(diag["state_path"], problem, "diagnostics.state_path")
     else:
         if seed is None:
@@ -485,9 +482,10 @@ def cmd_orbital(cfg: dict, outdir: Path) -> int:
         raise ConfigError("problem.family: orbital experiments require nls_soliton")
     factor = build_factor(cfg, problem)
     itconfig, engine = _iteration(cfg)
-    listed = _read(cfg.get("orbital", {}), "orbital", {}, {"experiments": list[dict]}).get("experiments")
-    runs = ([_amplitudes(exp, f"orbital.experiments[{i}]") for i, exp in enumerate(listed)] if listed
-            else [_amplitudes(cfg.get("seed", {}), "seed", {"kind": str})])
+    listed = _read(cfg.get("orbital"), "orbital", {"experiments": list[dict]})["experiments"]
+    if not listed:
+        raise ConfigError("orbital.experiments: expected at least one experiment")
+    runs = [_amplitudes(exp, f"orbital.experiments[{i}]") for i, exp in enumerate(listed)]
 
     params = problems.SolitonParameters(**problem.params)
     index = []

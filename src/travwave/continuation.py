@@ -53,10 +53,6 @@ class ContinuationResult:
     def requested_stages(self) -> list[StageResult]:
         return [s for s in self.stages if s.requested]
 
-    @property
-    def final(self) -> Field:
-        return self.stages[-1].result.final
-
 
 def _make_factor(factor_spec, problem: ProblemModel):
     if callable(factor_spec):

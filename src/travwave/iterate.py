@@ -2,22 +2,25 @@
 map L u_{n+1} = s(u_n) N(u_n), and damped Newton (matrix-free GMRES, right-
 preconditioned by L^{-1}) for states the stabilized family cannot reach.
 
-The residual monitor RE_n = ||L u_n - N(u_n)|| (Euclidean over node values,
-realified on complex fields) is recorded every iteration together with the
-factor discrepancy |s(u_n) - 1| and ||u_n||.  Divergence is a reported
-outcome, never an exception; so is a collapse, a run that converges to the
-trivial solution u = 0 (final norm below COLLAPSE_RATIO times the first).
+Both engines run one loop and differ only in its step.  Each iteration
+records, from one (L u, N(u)) pair at u_n, the residual monitor
+RE_n = ||L u_n - N(u_n)|| (Euclidean over node values, realified on complex
+fields), the factor discrepancy |s(u_n) - 1| (NaN for Newton and the
+classical map) and ||u_n||.  Divergence is a reported outcome, never an
+exception; so is a collapse, a run that converges to the trivial solution
+u = 0 (final norm below COLLAPSE_RATIO times the first).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from numbers import Integral
+from typing import Callable
 
 import numpy as np
 
 from .factors import StabilizingFactor
-from .problems import ProblemModel
+from .problems import OperatorPair, ProblemModel
 from .spectral import Field
 
 CONVERGED = "converged"
@@ -35,7 +38,6 @@ class IterationConfig:
     factor_tolerance: float = 1e-13
     divergence_guard: float = 1e8
     stop_rule: str = "residual"  # "residual" | "residual_and_factor"
-    store_all: bool = False
 
     def __post_init__(self):
         if isinstance(self.max_iterations, bool) or not isinstance(self.max_iterations, Integral):
@@ -56,7 +58,6 @@ class IterationTrace:
     factor_discrepancies: np.ndarray
     norms: np.ndarray
     status: str
-    all_iterates: list[Field] | None = None
 
     @property
     def iteration_count(self) -> int:
@@ -89,72 +90,18 @@ class SolveResult:
 
 def solve(problem: ProblemModel, factor: StabilizingFactor | None, u0: Field,
           config: IterationConfig | None = None) -> SolveResult:
-    """Iterate until the stop rule, the divergence guard, or max_iterations.
+    """Iterate L u_{n+1} = s(u_n) N(u_n) until the stop rule, the divergence
+    guard, or max_iterations.
 
     Each iteration evaluates one (L u, N(u)) pair in the problem's
     coefficients and takes the residual, ||u||, the factor and the next
     iterate from it.  With factor=None this runs the classical map (for
     divergence demonstrations); the factor-discrepancy channel records NaN.
     """
-    cfg = config or IterationConfig()
-    if u0.norm == 0.0 or not np.all(np.isfinite(u0.values)):
-        raise ValueError("seed must be nonzero and finite")
-    u = problem.project_pinned(u0)
-    uc = None
+    def step(pair: OperatorPair, s: float) -> OperatorPair:
+        return problem.pair(*pair.step(1.0 if factor is None else s))
 
-    res_hist: list[float] = []
-    fac_hist: list[float] = []
-    norm_hist: list[float] = []
-    stored: list[Field] | None = [u] if cfg.store_all else None
-    status = MAX_ITERATIONS
-
-    for n in range(cfg.max_iterations + 1):
-        pair = problem.pair(u, uc)
-        re_n = pair.residual
-        factor_broke = False
-        try:
-            s_val = factor(u, pair) if factor is not None else np.nan
-        except ArithmeticError:
-            # factor breakdown: the iterate left the factor's domain
-            s_val = np.nan
-            factor_broke = True
-        disc = abs(s_val - 1.0)
-        res_hist.append(re_n)
-        fac_hist.append(disc)
-        norm_hist.append(pair.norm(pair.uc))
-
-        if (not np.isfinite(re_n) or re_n > cfg.divergence_guard
-                or norm_hist[-1] > cfg.divergence_guard or factor_broke):
-            status = DIVERGED
-            break
-        done = re_n <= cfg.residual_tolerance
-        if cfg.stop_rule == "residual_and_factor" and factor is not None:
-            done = done and disc <= cfg.factor_tolerance
-        if done:
-            status = CONVERGED
-            break
-        if n == cfg.max_iterations:
-            status = MAX_ITERATIONS
-            break
-
-        u, uc = pair.step(1.0 if factor is None else s_val)
-        if stored is not None:
-            stored.append(u)
-        if not np.all(np.isfinite(u.values)):
-            res_hist.append(np.inf)
-            fac_hist.append(np.nan)
-            norm_hist.append(np.inf)
-            status = DIVERGED
-            break
-
-    trace = IterationTrace(
-        residuals=np.asarray(res_hist),
-        factor_discrepancies=np.asarray(fac_hist),
-        norms=np.asarray(norm_hist),
-        status=_unless_collapsed(status, norm_hist),
-        all_iterates=stored,
-    )
-    return SolveResult(final=u, trace=trace)
+    return _iterate(problem, problem.project_pinned(u0), config, factor, step)
 
 
 def newton_solve(problem: ProblemModel, u0: Field, config: IterationConfig | None = None) -> SolveResult:
@@ -164,75 +111,78 @@ def newton_solve(problem: ProblemModel, u0: Field, config: IterationConfig | Non
     channel).  Each step solves J delta = -g matrix-free, by GMRES on J L^{-1}
     (right preconditioning by the problem's own solve_L); a step is taken
     only when GMRES meets its target, otherwise the run reports divergence.
+    The loop, residual and stop tests are `solve`'s; the pair of the trial
+    the line search accepts is the next record.
     """
-    cfg = config or IterationConfig()
     if problem.jacN_action is None:
         raise ValueError("newton_solve requires the problem to provide jacN_action")
-    if u0.norm == 0.0 or not np.all(np.isfinite(u0.values)):
-        raise ValueError("seed must be nonzero and finite")
-
+    cfg = config or IterationConfig()
     space = problem.linearization_space(at=u0)
-    u = problem.project_pinned(u0)
-    w = space.to_vector(u)
 
-    G_of = space.wrap(lambda f: problem.apply_L(f) - problem.apply_N(f))
+    def step(pair: OperatorPair, _s: float) -> OperatorPair | str:
+        g = space.to_vector(pair.field(pair.Lc - pair.Nc))
+        direction = _newton_direction(problem, space, pair.u, g, cfg.residual_tolerance)
+        if direction is None:
+            return DIVERGED
+        w, alpha = space.to_vector(pair.u), 1.0
+        for _ls in range(40):
+            trial = problem.pair(space.from_vector(w + alpha * direction))
+            if trial.residual < (1.0 - 1e-4 * alpha) * pair.residual:  # False on NaN
+                return trial
+            alpha *= 0.5
+        return MAX_ITERATIONS  # line search stalled: no descent direction left
 
-    res_hist: list[float] = []
-    norm_hist: list[float] = []
-    stored: list[Field] | None = [u] if cfg.store_all else None
+    # start where every later iterate lies: on the linearization space
+    return _iterate(problem, space.from_vector(space.to_vector(problem.project_pinned(u0))), cfg, None, step)
+
+
+def _iterate(problem: ProblemModel, u: Field, config: IterationConfig | None,
+             factor: StabilizingFactor | None,
+             step: Callable[[OperatorPair, float], OperatorPair | str]) -> SolveResult:
+    """The loop both engines run from the seed u.
+
+    Each record takes RE_n, |s(u_n) - 1| and ||u_n|| from the pair at u_n;
+    then the divergence guard, the stop rule and the iteration cap are
+    checked, in that order.  Otherwise `step(pair, s(u_n))` returns the pair
+    at u_{n+1}, or the status that ends the run when no step can be taken.
+    """
+    cfg = config or IterationConfig()
+    if u.norm == 0.0 or not np.all(np.isfinite(u.values)):
+        raise ValueError("seed must be nonzero and finite")
+    pair = problem.pair(u)
+    records: list[tuple[float, float, float]] = []
     status = MAX_ITERATIONS
-
-    g = G_of(w)
     for n in range(cfg.max_iterations + 1):
-        r = float(np.linalg.norm(g))
-        res_hist.append(r)
-        norm_hist.append(float(np.linalg.norm(w)))
-        if r <= cfg.residual_tolerance:
-            status = CONVERGED
-            break
-        if not np.isfinite(r) or r > cfg.divergence_guard:
+        if not np.all(np.isfinite(pair.u.values)):
+            records.append((np.inf, np.nan, np.inf))
             status = DIVERGED
+            break
+        try:
+            s = factor(pair.u, pair) if factor is not None else np.nan
+        except ArithmeticError:
+            s = None  # factor breakdown: the iterate left the factor's domain
+        re_n, norm_n = pair.residual, pair.norm(pair.uc)
+        disc = np.nan if s is None else abs(s - 1.0)
+        records.append((re_n, disc, norm_n))
+        if (s is None or not np.isfinite(re_n) or re_n > cfg.divergence_guard
+                or norm_n > cfg.divergence_guard):
+            status = DIVERGED
+            break
+        if re_n <= cfg.residual_tolerance and (cfg.stop_rule == "residual" or factor is None
+                                               or disc <= cfg.factor_tolerance):
+            # a run that converges to u = 0 has collapsed
+            status = COLLAPSED if norm_n < COLLAPSE_RATIO * records[0][2] else CONVERGED
             break
         if n == cfg.max_iterations:
-            status = MAX_ITERATIONS
             break
-
-        step = _newton_direction(problem, space, space.from_vector(w), g, cfg.residual_tolerance)
-        if step is None:
-            status = DIVERGED
+        nxt = step(pair, s)
+        if isinstance(nxt, str):
+            status = nxt
             break
+        pair = nxt
 
-        alpha, accepted = 1.0, None
-        for _ls in range(40):
-            trial = w + alpha * step
-            g_trial = G_of(trial)
-            r_trial = float(np.linalg.norm(g_trial))
-            if np.isfinite(r_trial) and r_trial < (1.0 - 1e-4 * alpha) * r:
-                accepted = (trial, g_trial)
-                break
-            alpha *= 0.5
-        if accepted is None:
-            # line search stalled: no descent direction left
-            status = MAX_ITERATIONS
-            break
-        w, g = accepted
-        if stored is not None:
-            stored.append(space.from_vector(w))
-
-    trace = IterationTrace(
-        residuals=np.asarray(res_hist),
-        factor_discrepancies=np.full(len(res_hist), np.nan),
-        norms=np.asarray(norm_hist),
-        status=_unless_collapsed(status, norm_hist),
-        all_iterates=stored,
-    )
-    return SolveResult(final=space.from_vector(w), trace=trace)
-
-
-def _unless_collapsed(status: str, norms: list[float]) -> str:
-    if status == CONVERGED and norms[-1] < COLLAPSE_RATIO * norms[0]:
-        return COLLAPSED
-    return status
+    residuals, discrepancies, norms = (np.asarray(column) for column in zip(*records))
+    return SolveResult(final=pair.u, trace=IterationTrace(residuals, discrepancies, norms, status))
 
 
 def _newton_direction(problem: ProblemModel, space, at: Field, g: np.ndarray, tol: float) -> np.ndarray | None:

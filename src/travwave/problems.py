@@ -171,7 +171,7 @@ class OperatorPair:
         fs = self.problem.fourier
         return self.u.with_values(coeffs if fs is None else fs.inverse(coeffs))
 
-    @property
+    @cached_property
     def residual(self) -> float:
         """||L u - N(u)||, Euclidean over node values."""
         return self.norm(self.Lc - self.Nc)

@@ -174,11 +174,12 @@ class TestSpectrum:
         assert hyp["spectrum_shift_check"]["ok"]
         assert (out / "spectrum_F.json").exists()
 
-    def test_missing_state_file_exits_3(self, tmp_path):
+    def test_missing_state_file_exits_2(self, tmp_path, capsys):
         cfg = soliton_config(tmp_path / "x")
         cfg["diagnostics"] = {"state": "file", "state_path": str(tmp_path / "absent.csv")}
         cfg_path = write_config(tmp_path, cfg)
-        assert main(["spectrum", "--config", cfg_path]) == 3
+        assert main(["spectrum", "--config", cfg_path]) == 2
+        assert "config error: diagnostics.state_path: profile file not found" in capsys.readouterr().err
 
     def test_table2_spectra_byte_identical_across_runs(self, tmp_path):
         for run in ("a", "b"):
@@ -298,6 +299,20 @@ class TestOrbital:
         assert fit["intercept_mod_2pi"] == pytest.approx(0.2, abs=2e-2)
         assert fit["x0"] == pytest.approx(0.0, abs=1e-6)
 
+    @pytest.mark.parametrize("blocks,message", [
+        ({"seed": {"kind": "gaussian"}}, "missing field orbital"),
+        ({}, "missing field orbital"),
+        ({"orbital": {"experiments": []}}, "orbital.experiments: expected at least one experiment"),
+    ], ids=["gaussian_seed_block", "no_seed_block", "empty_list"])
+    def test_runs_come_from_experiments_only(self, tmp_path, capsys, blocks, message):
+        cfg = load_recipe("fig67")
+        del cfg["orbital"]
+        cfg.update(blocks)
+        out = tmp_path / "orb"
+        assert main(["orbital", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not list(out.glob("run_*"))
+
     def test_wrong_family_exits_2(self, tmp_path):
         cfg = soliton_config(tmp_path / "x")
         cfg["problem"] = {"family": "nls_ground_state",
@@ -376,7 +391,7 @@ class TestRecipes:
         ("spectrum", "table1_col12", ["iteration", "residual_tolerance"], True,
          "iteration.residual_tolerance: expected a number, got True"),
         ("solve", "table1_col12", ["iteration", "store_all"], "no",
-         "iteration.store_all: expected true or false, got 'no'"),
+         "iteration: unknown keys ['store_all']"),
         ("continue", "fig2", ["continuation", "values", 0], False,
          "continuation.values[0]: expected a number, got False"),
         ("orbital", "fig67", ["output", "directry"], "out", "output: unknown keys ['directry']"),
@@ -437,8 +452,7 @@ class TestSummary:
         out = tmp_path / "run"
         cfg = soliton_config(out)
         cfg["iteration"] = {"max_iterations": 40, "residual_tolerance": 1e-11,
-                            "factor_tolerance": 1e-10, "stop_rule": "residual_and_factor",
-                            "store_all": True}
+                            "factor_tolerance": 1e-10, "stop_rule": "residual_and_factor"}
         assert main(["solve", "--config", write_config(tmp_path, cfg)]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["iteration_config"] == {

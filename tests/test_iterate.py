@@ -134,13 +134,6 @@ class TestSolve:
         assert tr.final_residual <= 1e-11
         assert tr.final_factor_discrepancy <= 1e-12
 
-    def test_store_all_keeps_every_iterate(self, soliton_problem, soliton_exact):
-        factor = tw.petviashvili_factor("optimal", soliton_problem)
-        seed = soliton_exact + 0.05 * soliton_exact.with_values(1j * soliton_exact.values)
-        result = tw.solve(soliton_problem, factor, seed,
-                          tw.IterationConfig(max_iterations=50, store_all=True))
-        assert len(result.trace.all_iterates) == len(result.trace.residuals)
-
     def test_max_iterations_status(self, soliton_problem, soliton_exact):
         factor = tw.petviashvili_factor("optimal", soliton_problem)
         seed = soliton_exact + 0.3 * soliton_exact.with_values(1j * soliton_exact.values)
@@ -241,6 +234,27 @@ class TestNewton:
         assert result.status == status
         assert len(counts) == result.trace.iteration_count
         assert max(counts) <= NEWTON_ACTIONS_PER_STEP
+
+    @pytest.mark.parametrize("family", ["soliton", "lump", "double_well"])
+    def test_engines_share_the_first_record(self, family, soliton_problem, soliton_exact,
+                                            double_well_problem, grid_1d):
+        """Both engines take RE_0 and ||u_0|| from the same loop, so one seed
+        gives the same first record, to the last bit."""
+        if family == "soliton":
+            problem = soliton_problem
+            seed = soliton_exact + 0.2 * soliton_exact.with_values(1j * soliton_exact.values)
+        elif family == "lump":
+            problem = tw.benjamin_lump(0.0, 1.0, Grid2D(Grid1D(16 * np.pi, 32), Grid1D(16 * np.pi, 32)))
+            seed = tw.gaussian_seed(problem.grid, 2.0, 2.0)
+        else:
+            problem = double_well_problem
+            seed = tw.gaussian_seed(grid_1d, 2.0, 1.6, antisymmetric=True)
+        factor = tw.petviashvili_factor("optimal", problem)
+        cfg = tw.IterationConfig(max_iterations=1)
+        stabilized = tw.solve(problem, factor, seed, cfg).trace
+        newton = tw.newton_solve(problem, seed, cfg).trace
+        assert newton.residuals[0] == stabilized.residuals[0]
+        assert newton.norms[0] == stabilized.norms[0]
 
     def test_requires_jacobian(self, grid_1d):
         problem = tw.nls_soliton(tw.SolitonParameters(1.0, 1.0, 1.0), grid_1d)
