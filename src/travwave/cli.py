@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import importlib.resources
 import json
 import sys
@@ -256,14 +257,16 @@ def output_dir(cfg: dict, override: str | None) -> Path:
 # writers / readers
 
 
-def _write_csv(path: Path, header: str, prefixes: list[str], *columns) -> None:
-    """A CSV whose lines are the given prefixes followed by one FLOAT_FMT field
-    per column, formatted in one pass.  Lines end with \\r\\n, as csv.writer
-    ends them."""
-    fields = ",".join([FLOAT_FMT] * len(columns))
-    template = "".join(f"{prefix}{fields}\r\n" for prefix in prefixes)
+def _template(header: str, prefixes: list[str], fields: str) -> str:
+    """A CSV format string: the header, then each prefix followed by `fields`.
+    Lines end with \\r\\n, as csv.writer ends them."""
+    return f"{header}\r\n" + "".join(f"{prefix}{fields}\r\n" for prefix in prefixes)
+
+
+def _write_csv(path: Path, template: str, *columns) -> None:
+    """The template filled with the columns, row by row, in one pass."""
     with open(path, "w", newline="") as fh:
-        fh.write(f"{header}\r\n" + template % tuple(np.column_stack(columns).ravel().tolist()))
+        fh.write(template % tuple(np.column_stack(columns).ravel().tolist()))
 
 
 def _prefixes(nodes: np.ndarray) -> list[str]:
@@ -272,20 +275,29 @@ def _prefixes(nodes: np.ndarray) -> list[str]:
 
 def write_trace_csv(path: Path, result: SolveResult) -> None:
     tr = result.trace
-    _write_csv(path, "iter,residual,factor_discrepancy,norm", [f"{n}," for n in range(len(tr.residuals))],
+    _write_csv(path, _template("iter,residual,factor_discrepancy,norm",
+                               [f"{n}," for n in range(len(tr.residuals))], ",".join([FLOAT_FMT] * 3)),
                tr.residuals, tr.factor_discrepancies, tr.norms)
 
 
-def write_profile_csv(path: Path, field: Field) -> None:
-    grid = field.grid
-    axes = (grid,) if field.values.ndim == 1 else (grid.grid_x, grid.grid_z)
+@functools.lru_cache(maxsize=4)
+def _profile_template(grid, is_complex: bool) -> str:
+    """The profile CSV template of a grid: node coordinates, then re and im
+    fields; a real field's im column is the literal 0 that FLOAT_FMT prints."""
+    axes = (grid,) if isinstance(grid, Grid1D) else (grid.grid_x, grid.grid_z)
     # node coordinates repeat along the other axis: format each one once
     prefixes = [""]
     for axis in axes:
         coords = _prefixes(axis.nodes)
         prefixes = [p + x for p in prefixes for x in coords]
+    header = "x,re,im" if len(axes) == 1 else "x,z,re,im"
+    return _template(header, prefixes, f"{FLOAT_FMT},{FLOAT_FMT}" if is_complex else f"{FLOAT_FMT},0")
+
+
+def write_profile_csv(path: Path, field: Field) -> None:
     vals = np.asarray(field.values).ravel()
-    _write_csv(path, "x,re,im" if len(axes) == 1 else "x,z,re,im", prefixes, vals.real, vals.imag)
+    template = _profile_template(field.grid, field.is_complex)
+    _write_csv(path, template, *((vals.real, vals.imag) if field.is_complex else (vals,)))
 
 
 def write_cross_sections(outdir: Path, field: Field) -> None:
@@ -293,8 +305,10 @@ def write_cross_sections(outdir: Path, field: Field) -> None:
     vals = np.asarray(field.values)
     i, j = np.unravel_index(np.argmax(np.abs(vals)), vals.shape)
     gx, gz = field.grid.grid_x, field.grid.grid_z
-    _write_csv(outdir / "profile_xcut.csv", "x,value", _prefixes(gx.nodes), np.real(vals[:, j]))
-    _write_csv(outdir / "profile_zcut.csv", "z,value", _prefixes(gz.nodes), np.real(vals[i, :]))
+    _write_csv(outdir / "profile_xcut.csv", _template("x,value", _prefixes(gx.nodes), FLOAT_FMT),
+               np.real(vals[:, j]))
+    _write_csv(outdir / "profile_zcut.csv", _template("z,value", _prefixes(gz.nodes), FLOAT_FMT),
+               np.real(vals[i, :]))
 
 
 def read_profile_csv(path: str | Path, problem, key: str = "seed.path") -> Field:
@@ -455,9 +469,10 @@ def cmd_continue(cfg: dict, outdir: Path) -> int:
         sub = outdir / f"stage_{i:03d}_gamma_{stage.parameter_value:.6f}"
         sub.mkdir(parents=True, exist_ok=True)
         stage_cfg = dict(cfg)
-        if i > 0:
-            stage_cfg["seed"] = {"kind": "warm_start",
-                                 "from_stage": res.stages[i - 1].parameter_value}
+        if len(stage.seeded_from) == 1:
+            stage_cfg["seed"] = {"kind": "warm_start", "from_stage": stage.seeded_from[0]}
+        elif stage.seeded_from:
+            stage_cfg["seed"] = {"kind": "extrapolated", "from_stages": list(stage.seeded_from)}
         _solve_outputs(sub, stage_cfg, stage.factor.problem, stage.factor, stage.result, engine,
                        itconfig)
         stage_index.append({

@@ -1,9 +1,11 @@
-"""Homotopy driver: step a model parameter along a monotone path, warm-starting
-each stage from the previous converged profile; bisect the step on failure.
+"""Homotopy continuation: step a model parameter along a monotone path, seeding
+each stage by extrapolating the last converged profiles; bisect the step on
+failure.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dataclass_field
 from numbers import Integral
 from typing import Callable
@@ -41,6 +43,7 @@ class StageResult:
     result: SolveResult
     requested: bool  # False for bisection-inserted stages
     factor: StabilizingFactor  # bound to the stage's problem, `factor.problem`
+    seeded_from: tuple[float, ...]  # values of the stages its start extrapolates; () for the seed
 
 
 @dataclass
@@ -60,9 +63,19 @@ def _make_factor(factor_spec, problem: ProblemModel):
     return from_descriptor(str(factor_spec), problem)
 
 
+def _extrapolate(stages: list[StageResult], value: float) -> Field:
+    """The Lagrange polynomial through the stages' final states, at `value`."""
+    nodes = [stage.parameter_value for stage in stages]
+    terms = [math.prod((value - b) / (a - b) for b in nodes if b != a) * stage.result.final
+             for a, stage in zip(nodes, stages)]
+    return sum(terms[1:], terms[0])
+
+
 def continue_solve(model_family: Callable[[float], ProblemModel], path: HomotopyPath,
                    seed: Field, factor_spec, config: IterationConfig | None = None) -> ContinuationResult:
-    """Solve the family along the path, warm-starting each stage.
+    """Solve the family along the path.  The first stage starts from `seed`,
+    each later one from the extrapolation of the last (at most three) converged
+    stages to its own value: a warm start, then the secant, then the quadratic.
 
     `model_family` maps a parameter value to a ProblemModel; `factor_spec` is
     a factor descriptor string or a callable ProblemModel -> StabilizingFactor
@@ -74,36 +87,32 @@ def continue_solve(model_family: Callable[[float], ProblemModel], path: Homotopy
     cfg = config or IterationConfig()
     out = ContinuationResult()
 
-    def attempt(value: float, start: Field, requested: bool) -> SolveResult | None:
+    def attempt(value: float, requested: bool) -> bool:
+        basis = out.stages[-3:]
+        start = _extrapolate(basis, value) if basis else seed
         problem = model_family(value)
         factor = _make_factor(factor_spec, problem)
         result = solve(problem, factor, start, cfg)
         if result.status != CONVERGED:
-            return None
-        out.stages.append(StageResult(value, result, requested, factor))
-        return result
+            return False
+        out.stages.append(StageResult(value, result, requested, factor,
+                                      tuple(s.parameter_value for s in basis)))
+        return True
 
-    def advance(prev_value: float | None, value: float, start: Field,
-                depth: int, requested: bool) -> Field | None:
-        result = attempt(value, start, requested)
-        if result is not None:
-            return result.final
+    def advance(prev_value: float | None, value: float, depth: int, requested: bool) -> bool:
+        if attempt(value, requested):
+            return True
         if prev_value is None or depth >= path.max_bisections:
-            return None
+            return False
         mid = 0.5 * (prev_value + value)
-        mid_state = advance(prev_value, mid, start, depth + 1, requested=False)
-        if mid_state is None:
-            return None
-        return advance(mid, value, mid_state, depth + 1, requested=requested)
+        return (advance(prev_value, mid, depth + 1, requested=False)
+                and advance(mid, value, depth + 1, requested=requested))
 
-    state = seed
     prev: float | None = None
     for value in path.values:
-        nxt = advance(prev, value, state, depth=0, requested=True)
-        if nxt is None:
+        if not advance(prev, value, depth=0, requested=True):
             out.completed = False
             out.failed_at = value
             return out
-        state = nxt
         prev = value
     return out

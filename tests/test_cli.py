@@ -13,6 +13,7 @@ import scipy.sparse.linalg
 import travwave as tw
 from travwave.cli import (
     FLOAT_FMT,
+    _profile_template,
     build_factor,
     build_iteration_config,
     build_problem,
@@ -248,6 +249,18 @@ class TestContinue:
         for name in ("trace.csv", "profile.csv", "summary.json",
                      "profile_xcut.csv", "profile_zcut.csv"):
             assert (stage_dir / name).exists()
+
+    def test_stage_summaries_record_their_seeds(self, tmp_path):
+        out = tmp_path / "cont"
+        cfg = lump_config(out)
+        cfg["continuation"]["values"] = [0.0, 0.1, 0.2, 0.3]
+        assert main(["continue", "--config", write_config(tmp_path, cfg)]) == 0
+        index = json.loads((out / "continuation.json").read_text())
+        seeds = [json.loads((out / s["directory"] / "summary.json").read_text())["seed"]
+                 for s in index["stages"]]
+        assert seeds == [cfg["seed"], {"kind": "warm_start", "from_stage": 0.0},
+                         {"kind": "extrapolated", "from_stages": [0.0, 0.1]},
+                         {"kind": "extrapolated", "from_stages": [0.0, 0.1, 0.2]}]
 
     def test_wrong_family_exits_2(self, tmp_path, capsys):
         cfg = soliton_config(tmp_path / "x")
@@ -497,6 +510,22 @@ class TestWriters:
             write_profile_csv(tmp_path / "new.csv", field)
             self.reference_profile(tmp_path / "ref.csv", field)
             assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_fields_sharing_a_grid_match_csv_writer(self, tmp_path):
+        rng = np.random.default_rng(7)
+        g2 = Grid2D(Grid1D(3.0, 8), Grid1D(np.pi, 6))
+        fields = [Field(g2, rng.normal(size=(8, 6))), Field(g2, rng.normal(size=(8, 6))),
+                  Field(g2, rng.normal(size=(8, 6)) + 1j * rng.normal(size=(8, 6))),
+                  Field(g2, np.zeros((8, 6), dtype=complex))]
+        for i, field in enumerate(fields):
+            write_profile_csv(tmp_path / f"new{i}.csv", field)
+        for i, field in enumerate(fields):
+            self.reference_profile(tmp_path / "ref.csv", field)
+            assert (tmp_path / f"new{i}.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_profile_template_cache_is_bounded(self):
+        maxsize = _profile_template.cache_info().maxsize
+        assert maxsize is not None and 1 <= maxsize <= 8
 
     def test_trace_and_cross_sections_match_csv_writer(self, tmp_path):
         res = np.array([1.0, 0.25, np.inf])
