@@ -3,7 +3,8 @@
 Subcommands: solve | spectrum | continue | orbital.  Every run is driven by a
 JSON config (from --config or a bundled --recipe) and writes CSV series plus
 JSON reports into the output directory.  Identical configs produce
-bit-identical outputs: there is no randomness anywhere in the pipeline.
+bit-identical outputs on the same numpy/BLAS build with the same BLAS thread
+settings: Arnoldi's start vector has a fixed seed.
 
 Every config block is read by `_read`, against keys declared next to its
 builder, before anything is solved: an unknown key, a missing one or a value
@@ -223,6 +224,11 @@ def _amplitudes(block, path: str, kind: dict = {}) -> tuple[float, float]:
     return eps.get("eps1", 0.0), eps.get("eps2", 0.0)
 
 
+def _perturbed_exact(problem, eps1: float, eps2: float) -> Field:
+    exact = problem.exact_solution()
+    return exact + eps1 * exact.with_values(1j * exact.values) + eps2 * derivative(exact, 1)
+
+
 SEEDS = {"gaussian": ({"amplitude": float, "width": float}, {"antisymmetric": bool, "phase": str | float}),
          "file": ({"path": str}, {})}
 
@@ -232,9 +238,7 @@ def build_seed(cfg: dict, problem) -> Field:
     if isinstance(block, dict) and block.get("kind") == "exact_perturbed":
         if problem.exact_solution is None:
             raise ConfigError("seed.kind: exact_perturbed requires a problem with an exact solution")
-        eps1, eps2 = _amplitudes(block, "seed", {"kind": str})
-        exact = problem.exact_solution()
-        return exact + eps1 * exact.with_values(1j * exact.values) + eps2 * derivative(exact, 1)
+        return _perturbed_exact(problem, *_amplitudes(block, "seed", {"kind": str}))
     kind, values = _variant(block, "seed", "kind", SEEDS)
     if kind == "file":
         return read_profile_csv(values["path"], problem)
@@ -340,7 +344,7 @@ def _json_dump(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def summary_payload(cfg: dict, problem, factor, result: SolveResult, engine: str,
+def summary_payload(seed: dict | None, problem, factor, result: SolveResult, engine: str,
                     itconfig: IterationConfig) -> dict:
     tr = result.trace
     grid = problem.grid
@@ -363,7 +367,7 @@ def summary_payload(cfg: dict, problem, factor, result: SolveResult, engine: str
         "problem": {"family": problem.name, **problem.params},
         "grid": grid_meta,
         "iteration_config": asdict(itconfig),
-        "seed": cfg.get("seed"),
+        "seed": seed,
     }
 
 
@@ -377,13 +381,13 @@ def _run_engine(engine: str, problem, factor, seed: Field, itconfig: IterationCo
     return solve(problem, factor, seed, itconfig)
 
 
-def _solve_outputs(outdir: Path, cfg: dict, problem, factor, result: SolveResult, engine: str,
+def _solve_outputs(outdir: Path, seed: dict | None, problem, factor, result: SolveResult, engine: str,
                    itconfig: IterationConfig) -> None:
     write_trace_csv(outdir / "trace.csv", result)
     write_profile_csv(outdir / "profile.csv", result.final)
     if isinstance(problem.grid, Grid2D):
         write_cross_sections(outdir, result.final)
-    _json_dump(outdir / "summary.json", summary_payload(cfg, problem, factor, result, engine, itconfig))
+    _json_dump(outdir / "summary.json", summary_payload(seed, problem, factor, result, engine, itconfig))
 
 
 def cmd_solve(cfg: dict, outdir: Path) -> int:
@@ -392,7 +396,7 @@ def cmd_solve(cfg: dict, outdir: Path) -> int:
     itconfig, engine = _iteration(cfg)
     seed = build_seed(cfg, problem)
     result = _run_engine(engine, problem, factor, seed, itconfig)
-    _solve_outputs(outdir, cfg, problem, factor, result, engine, itconfig)
+    _solve_outputs(outdir, cfg.get("seed"), problem, factor, result, engine, itconfig)
     return 0
 
 
@@ -420,7 +424,7 @@ def cmd_spectrum(cfg: dict, outdir: Path) -> int:
         if seed is None:
             raise ConfigError("missing field seed")
         result = _run_engine(engine, problem, factor, seed, itconfig)
-        _solve_outputs(outdir, cfg, problem, factor, result, engine, itconfig)
+        _solve_outputs(outdir, cfg.get("seed"), problem, factor, result, engine, itconfig)
         if result.status == COLLAPSED:
             raise RuntimeError(f"the {engine} solve collapsed to the trivial state u = 0; "
                                "its spectra say nothing about a traveling wave")
@@ -461,20 +465,17 @@ def cmd_continue(cfg: dict, outdir: Path) -> int:
 
     for value in path.values:
         family(value)  # a value outside the family is a config error before any stage is solved
+    build_factor(cfg, base_problem)  # so is a bad descriptor; the stages get it as written, gamma unrounded
     seed = build_seed(cfg, base_problem)
-
-    res = continue_solve(family, path, seed, lambda problem: build_factor(cfg, problem), itconfig)
+    res = continue_solve(family, path, seed, cfg["factor"]["descriptor"], itconfig)
     stage_index = []
     for i, stage in enumerate(res.stages):
         sub = outdir / f"stage_{i:03d}_gamma_{stage.parameter_value:.6f}"
         sub.mkdir(parents=True, exist_ok=True)
-        stage_cfg = dict(cfg)
-        if len(stage.seeded_from) == 1:
-            stage_cfg["seed"] = {"kind": "warm_start", "from_stage": stage.seeded_from[0]}
-        elif stage.seeded_from:
-            stage_cfg["seed"] = {"kind": "extrapolated", "from_stages": list(stage.seeded_from)}
-        _solve_outputs(sub, stage_cfg, stage.factor.problem, stage.factor, stage.result, engine,
-                       itconfig)
+        record = ({"kind": "warm_start", "from_stage": stage.seeded_from[0]} if len(stage.seeded_from) == 1
+                  else {"kind": "extrapolated", "from_stages": list(stage.seeded_from)} if stage.seeded_from
+                  else cfg.get("seed"))
+        _solve_outputs(sub, record, stage.factor.problem, stage.factor, stage.result, engine, itconfig)
         stage_index.append({
             "directory": sub.name,
             "Gamma": stage.parameter_value,
@@ -505,12 +506,11 @@ def cmd_orbital(cfg: dict, outdir: Path) -> int:
     params = problems.SolitonParameters(**problem.params)
     index = []
     for eps1, eps2 in runs:
-        run_cfg = dict(cfg, seed={"kind": "exact_perturbed", "eps1": eps1, "eps2": eps2})
-        seed = build_seed(run_cfg, problem)
-        result = _run_engine(engine, problem, factor, seed, itconfig)
+        record = {"kind": "exact_perturbed", "eps1": eps1, "eps2": eps2}
+        result = _run_engine(engine, problem, factor, _perturbed_exact(problem, eps1, eps2), itconfig)
         sub = outdir / f"run_eps1_{eps1:g}_eps2_{eps2:g}"
         sub.mkdir(parents=True, exist_ok=True)
-        _solve_outputs(sub, run_cfg, problem, factor, result, engine, itconfig)
+        _solve_outputs(sub, record, problem, factor, result, engine, itconfig)
         fit = diagnostics.orbit_match(result.final, params)
         payload = fit.to_json_dict()
         payload["eps1"], payload["eps2"] = eps1, eps2

@@ -57,12 +57,6 @@ class ContinuationResult:
         return [s for s in self.stages if s.requested]
 
 
-def _make_factor(factor_spec, problem: ProblemModel):
-    if callable(factor_spec):
-        return factor_spec(problem)
-    return from_descriptor(str(factor_spec), problem)
-
-
 def _extrapolate(stages: list[StageResult], value: float) -> Field:
     """The Lagrange polynomial through the stages' final states, at `value`."""
     nodes = [stage.parameter_value for stage in stages]
@@ -72,17 +66,16 @@ def _extrapolate(stages: list[StageResult], value: float) -> Field:
 
 
 def continue_solve(model_family: Callable[[float], ProblemModel], path: HomotopyPath,
-                   seed: Field, factor_spec, config: IterationConfig | None = None) -> ContinuationResult:
+                   seed: Field, descriptor: str, config: IterationConfig | None = None) -> ContinuationResult:
     """Solve the family along the path.  The first stage starts from `seed`,
     each later one from the extrapolation of the last (at most three) converged
     stages to its own value: a warm start, then the secant, then the quadratic.
 
-    `model_family` maps a parameter value to a ProblemModel; `factor_spec` is
-    a factor descriptor string or a callable ProblemModel -> StabilizingFactor
-    (rebuilt per stage since factors bind to their problem).  On a stage
-    failure, the step from the last converged value is bisected up to
-    `path.max_bisections` levels; if the target still fails, the partial
-    results are returned flagged.
+    `model_family` maps a parameter value to a ProblemModel; each stage builds
+    its own factor from the factor `descriptor`, since factors bind to their
+    problem.  On a stage failure, the step from the last converged value is
+    bisected up to `path.max_bisections` levels; if the target still fails,
+    the partial results are returned flagged.
     """
     cfg = config or IterationConfig()
     out = ContinuationResult()
@@ -91,7 +84,7 @@ def continue_solve(model_family: Callable[[float], ProblemModel], path: Homotopy
         basis = out.stages[-3:]
         start = _extrapolate(basis, value) if basis else seed
         problem = model_family(value)
-        factor = _make_factor(factor_spec, problem)
+        factor = from_descriptor(descriptor, problem)
         result = solve(problem, factor, start, cfg)
         if result.status != CONVERGED:
             return False

@@ -30,8 +30,6 @@ RESIDUAL_TOL = 1e-8               # largest eigen-residual of a verified report
 
 def iteration_matrix_action(problem: ProblemModel, u_star: Field, v: Field) -> Field:
     """S v = solve_L(N'(u*) v), pinned modes zeroed."""
-    if problem.jacN_action is None:
-        raise ValueError(f"problem {problem.name!r} does not provide jacN_action")
     return problem.solve_L(problem.jacN_action(u_star, v))
 
 

@@ -35,28 +35,23 @@ class FactorDomainError(ArithmeticError):
     """Negative ratio raised to a non-integer exponent."""
 
 
-class HomogeneityValidationError(ValueError):
-    """A user-supplied map failed the numerical homogeneity check."""
-
-
 class DescriptorError(ValueError):
     """Unparseable factor descriptor string."""
 
 
 @dataclass(frozen=True)
 class FMap:
-    """Homogeneous map used by the inner-product factor family."""
+    """Homogeneous map f of the inner-product family, with jac(u, v) = f'(u) v."""
 
     name: str
-    degree: float
     apply: Callable[[np.ndarray], np.ndarray]
-    jac: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    jac: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 F_MAPS = {
-    "identity": FMap("identity", 1.0, lambda u: u, lambda u, v: v),
-    "square": FMap("square", 2.0, lambda u: u * u, lambda u, v: 2.0 * u * v),
-    "cube": FMap("cube", 3.0, lambda u: u * u * u, lambda u, v: 3.0 * u * u * v),
+    "identity": FMap("identity", lambda u: u, lambda u, v: v),
+    "square": FMap("square", lambda u: u * u, lambda u, v: 2.0 * u * v),
+    "cube": FMap("cube", lambda u: u * u * u, lambda u, v: 3.0 * u * u * v),
 }
 
 
@@ -124,13 +119,16 @@ def _format_gamma(gamma: float) -> str:
 
 def petviashvili_factor(gamma, problem: ProblemModel, allow_marginal: bool = False) -> StabilizingFactor:
     """s(u) = (<Lu, u> / <N(u), u>)^gamma, the f = identity inner factor."""
-    factor = inner_factor(F_MAPS["identity"], gamma, problem, allow_marginal=allow_marginal)
+    factor = inner_factor("identity", gamma, problem, allow_marginal=allow_marginal)
     return replace(factor, descriptor=f"petviashvili:{_format_gamma(factor.gamma)}")
 
 
-def inner_factor(f, gamma, problem: ProblemModel, allow_marginal: bool = False) -> StabilizingFactor:
-    """s(u) = (<Lu, f(u)> / <N(u), f(u)>)^gamma for a homogeneous map f."""
-    fmap = f if isinstance(f, FMap) else _validated_fmap(f, problem)
+def inner_factor(f: str, gamma, problem: ProblemModel, allow_marginal: bool = False) -> StabilizingFactor:
+    """s(u) = (<Lu, f(u)> / <N(u), f(u)>)^gamma for the map named `f`, a key of
+    F_MAPS.  Its degree q = gamma*(1-p) does not depend on the degree of f."""
+    fmap = F_MAPS.get(f) if isinstance(f, str) else None
+    if fmap is None:
+        raise DescriptorError(f"unknown inner map {f!r}; known: {sorted(F_MAPS)}")
     gamma = _resolve_gamma(gamma, problem.degree)
     q = _check_degree(problem.degree, gamma, allow_marginal)
     descriptor = f"inner:f={fmap.name}:{_format_gamma(gamma)}"
@@ -160,10 +158,7 @@ def inner_factor(f, gamma, problem: ProblemModel, allow_marginal: bool = False) 
 
         def directional(v: Field) -> float:
             Lv = problem.apply_L(v)
-            if fmap.jac is not None:
-                dfv = u.with_values(fmap.jac(u.values, v.values))
-            else:
-                dfv = _fd_map_directional(fmap.apply, u, v)
+            dfv = u.with_values(fmap.jac(u.values, v.values))
             jNv = problem.jacN_action(u, v)
             dnum = real_inner(Lv, fu) + real_inner(Lu, dfv)
             dden = real_inner(jNv, fu) + real_inner(Nu, dfv)
@@ -179,57 +174,6 @@ def _ratio_power_derivative(R: float, gamma: float) -> float:
     if R <= 0.0 and not float(gamma - 1.0).is_integer():
         raise FactorDomainError(f"gradient of ratio^{gamma} undefined at ratio = {R:.3g}")
     return gamma * R ** (gamma - 1.0)
-
-
-def _fd_map_directional(apply_f, u: Field, v: Field) -> Field:
-    vn = v.norm
-    if vn == 0.0:
-        return v.with_values(np.zeros_like(v.values))
-    eps = 1e-6 * max(u.norm, 1.0) / vn
-    plus = apply_f(u.values + eps * v.values)
-    minus = apply_f(u.values - eps * v.values)
-    return v.with_values((plus - minus) / (2.0 * eps))
-
-
-def _validated_fmap(f, problem: ProblemModel) -> FMap:
-    """Wrap a raw callable, measuring and validating its homogeneity degree."""
-    if isinstance(f, str):
-        try:
-            return F_MAPS[f]
-        except KeyError:
-            raise DescriptorError(f"unknown inner map {f!r}; known: {sorted(F_MAPS)}") from None
-    probe = _probe_values(problem)
-    base = np.asarray(f(probe))
-    if np.linalg.norm(base.ravel()) == 0:
-        raise HomogeneityValidationError("f vanishes on the probe field")
-    degrees = []
-    for t in (0.5, 2.0):
-        scaled = np.asarray(f(t * probe))
-        ratios = np.abs(scaled.ravel()) / np.maximum(np.abs(base.ravel()), 1e-300)
-        good = np.abs(base.ravel()) > 1e-8 * np.abs(base).max()
-        d = np.log(ratios[good]) / np.log(t)
-        if d.size == 0 or np.ptp(d) > 1e-6:
-            raise HomogeneityValidationError("f is not positively homogeneous")
-        degrees.append(d[0])
-    if abs(degrees[0] - degrees[1]) > 1e-6 or degrees[0] < 1.0 - 1e-9:
-        raise HomogeneityValidationError(
-            f"f has inadmissible homogeneity degree {degrees[0]:.4g} (needs degree >= 1)"
-        )
-    return FMap(getattr(f, "__name__", "custom"), float(degrees[0]), f, None)
-
-
-def _probe_values(problem: ProblemModel) -> np.ndarray:
-    """Deterministic structured probe for construction-time validation."""
-    grid = problem.grid
-    if hasattr(grid, "mesh"):
-        X, Z = grid.mesh
-        base = np.exp(-(X**2 + Z**2) / 9.0) * (1.0 + 0.3 * np.cos(X))
-    else:
-        x = grid.nodes
-        base = np.exp(-(x**2) / 9.0) * (1.0 + 0.3 * np.cos(x))
-    if problem.is_complex:
-        return problem.seed_phase * base
-    return base
 
 
 def norm_factor(r, gamma, problem: ProblemModel, allow_marginal: bool = False) -> StabilizingFactor:
@@ -287,7 +231,7 @@ def from_descriptor(descriptor: str, problem: ProblemModel, allow_marginal: bool
             return inner_factor(parts[1][2:], parts[2], problem, allow_marginal)
         if parts[0] == "norm" and len(parts) == 3:
             return norm_factor(parts[1], parts[2], problem, allow_marginal)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         if isinstance(exc, (DescriptorError, FactorPropertyError)):
             raise
         raise DescriptorError(f"bad factor descriptor {descriptor!r}: {exc}") from exc

@@ -114,8 +114,6 @@ def newton_solve(problem: ProblemModel, u0: Field, config: IterationConfig | Non
     The loop, residual and stop tests are `solve`'s; the pair of the trial
     the line search accepts is the next record.
     """
-    if problem.jacN_action is None:
-        raise ValueError("newton_solve requires the problem to provide jacN_action")
     cfg = config or IterationConfig()
     space = problem.linearization_space(at=u0)
 

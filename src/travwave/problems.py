@@ -95,7 +95,7 @@ class ProblemModel:
     apply_L: Callable[[Field], Field]
     solve_L: Callable[[Field], Field]
     apply_N: Callable[[Field], Field]
-    jacN_action: Callable[[Field, Field], Field] | None = None
+    jacN_action: Callable[[Field, Field], Field]
     exact_solution: Callable[..., Field] | None = None
     symmetries: tuple[str, ...] = ()
     seed_phase: complex = 1.0

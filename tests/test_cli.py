@@ -159,6 +159,20 @@ class TestSolve:
         assert summary["status"] == "converged"
         assert summary["engine"] == "newton"
 
+    @pytest.mark.parametrize("family", ["petviashvili", "inner:f=square", "inner:f=cube",
+                                        "norm:1", "norm:2", "norm:inf"])
+    def test_every_factor_family_converges_on_table2(self, tmp_path, family):
+        cfg = load_recipe("table2")
+        cfg["factor"] = {"descriptor": f"{family}:optimal"}
+        cfg["seed"] = {"kind": "gaussian", "amplitude": 1.0, "width": 2.0}
+        cfg["iteration"]["max_iterations"] = 200
+        out = tmp_path / "run"
+        assert main(["solve", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"] == "converged"
+        assert summary["final_residual"] <= 1e-12
+        assert summary["factor"] == f"{family}:1.5"
+
 
 class TestSpectrum:
     def test_exact_state_spectrum(self, tmp_path):
@@ -296,13 +310,23 @@ class TestContinue:
         assert main(["continue", "--config", write_config(tmp_path, cfg)]) == 2
         assert "iteration.engine" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("descriptor", ["inner:f=quartic:optimal", "petviashvili:4"])
+    def test_bad_descriptor_exits_2_before_any_stage(self, tmp_path, capsys, descriptor):
+        out = tmp_path / "cont"
+        cfg = lump_config(out, points=32)
+        cfg["factor"]["descriptor"] = descriptor
+        assert main(["continue", "--config", write_config(tmp_path, cfg)]) == 2
+        assert "factor.descriptor" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
 
 class TestOrbital:
     def test_experiments_written(self, tmp_path):
         out = tmp_path / "orb"
         cfg = soliton_config(out)
         cfg["problem"]["grid"] = {"half_length": 50.0, "points": 256}
-        cfg["orbital"] = {"experiments": [{"eps1": 0.2, "eps2": 0.0}]}
+        experiments = [{"eps1": 0.2, "eps2": 0.0}, {"eps1": 0.0, "eps2": 0.1}]
+        cfg["orbital"] = {"experiments": experiments}
         cfg_path = write_config(tmp_path, cfg)
         assert main(["orbital", "--config", cfg_path]) == 0
         index = json.loads((out / "orbital.json").read_text())
@@ -311,6 +335,9 @@ class TestOrbital:
         assert fit["slope"] == pytest.approx(0.5, abs=2e-3)
         assert fit["intercept_mod_2pi"] == pytest.approx(0.2, abs=2e-2)
         assert fit["x0"] == pytest.approx(0.0, abs=1e-6)
+        seeds = [json.loads((out / run["directory"] / "summary.json").read_text())["seed"]
+                 for run in index["experiments"]]
+        assert seeds == [{"kind": "exact_perturbed", **experiment} for experiment in experiments]
 
     @pytest.mark.parametrize("blocks,message", [
         ({"seed": {"kind": "gaussian"}}, "missing field orbital"),
@@ -455,7 +482,7 @@ class TestSummary:
         seed = tw.gaussian_seed(problem.grid, 1.0, 2.0)
         result = tw.solve(problem, factor, problem.project_pinned(seed),
                           tw.IterationConfig(max_iterations=1))
-        payload = summary_payload(cfg, problem, factor, result, "stabilized",
+        payload = summary_payload(cfg.get("seed"), problem, factor, result, "stabilized",
                                   build_iteration_config(cfg))
         legacy = dict(payload, iteration_config=self.legacy_iteration_config(cfg))
         assert (json.dumps(payload, indent=2, sort_keys=True)

@@ -122,13 +122,6 @@ class TestContinueSolve:
         assert res.failed_at == pytest.approx(1.8)
         assert [s.parameter_value for s in res.stages] == [0.0]
 
-    def test_callable_factor_spec(self):
-        cfg = tw.IterationConfig(max_iterations=300, residual_tolerance=1e-12)
-        res = tw.continue_solve(rotation_family, tw.HomotopyPath(values=(0.0, 0.5)),
-                                ROTATION_SEED,
-                                lambda p: tw.petviashvili_factor("optimal", p), cfg)
-        assert res.completed
-
 
 class TestPredictor:
     def test_extrapolated_seeds_beat_plain_warm_starts(self):

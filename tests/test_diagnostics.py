@@ -28,15 +28,6 @@ class TestIterationMatrixAction:
         out = tw.iteration_matrix_action(soliton_problem, soliton_exact, v)
         assert (out - v).norm <= 1e-6 * v.norm
 
-    def test_missing_jacobian_raises(self, grid_1d, soliton_problem, soliton_exact):
-        stripped = tw.ProblemModel(
-            name="nojac", degree=3.0, grid=grid_1d, is_complex=True,
-            apply_L=soliton_problem.apply_L, solve_L=soliton_problem.solve_L,
-            apply_N=soliton_problem.apply_N,
-        )
-        with pytest.raises(ValueError):
-            tw.iteration_matrix_action(stripped, soliton_exact, soliton_exact)
-
 
 class TestTopEigenvalues:
     def test_identity_oracle_gives_all_ones(self):

@@ -7,7 +7,6 @@ from travwave.factors import (
     DescriptorError,
     FactorDomainError,
     FactorPropertyError,
-    HomogeneityValidationError,
     from_descriptor,
     inner_factor,
     norm_factor,
@@ -99,13 +98,11 @@ class TestInnerFactor:
             factor = inner_factor(fname, 1.0, problem, allow_marginal=True)
             assert factor(2.0 * u) == pytest.approx(2.0**factor.degree * factor(u), rel=1e-12)
 
-    def test_custom_callable_validated(self, soliton_problem):
-        factor = inner_factor(lambda u: u * np.abs(u), 1.2, soliton_problem)
-        assert factor.degree == pytest.approx(1.2 * (1 - soliton_problem.degree))
-        with pytest.raises(HomogeneityValidationError):
-            inner_factor(lambda u: u + u * u, 1.2, soliton_problem)
-        with pytest.raises(HomogeneityValidationError):
-            inner_factor(lambda u: np.sign(u.real) + 0.0 * u, 1.2, soliton_problem)  # degree 0
+    def test_only_named_maps_accepted(self):
+        problem = identity_square_problem()
+        for f in (lambda u: u * np.abs(u), "quartic", None):
+            with pytest.raises(DescriptorError, match=r"known: \['cube', 'identity', 'square'\]"):
+                inner_factor(f, 1.2, problem)
 
 
 class TestNormFactor:

@@ -256,15 +256,6 @@ class TestNewton:
         assert newton.residuals[0] == stabilized.residuals[0]
         assert newton.norms[0] == stabilized.norms[0]
 
-    def test_requires_jacobian(self, grid_1d):
-        problem = tw.nls_soliton(tw.SolitonParameters(1.0, 1.0, 1.0), grid_1d)
-        stripped = tw.ProblemModel(
-            name="nojac", degree=problem.degree, grid=grid_1d, is_complex=True,
-            apply_L=problem.apply_L, solve_L=problem.solve_L, apply_N=problem.apply_N,
-        )
-        with pytest.raises(ValueError):
-            tw.newton_solve(stripped, problem.exact_solution(), tw.IterationConfig())
-
 
 class TestResidual:
     def test_exact_profile_floor(self, soliton_problem, soliton_exact):
