@@ -71,18 +71,16 @@ EXPECTED = {float: "a number", int: "an integer", str: "a string", bool: "true o
 
 def _typed(value, kind, path: str):
     """`value` checked against the JSON type `kind`: float (any number, returned
-    as a float), int, str, bool or dict; list[...] or tuple[...] for a list; or
-    a union of these.  A boolean is never a number."""
+    as a float), int, str, bool or dict; list[...] or tuple[...] for a list.
+    A boolean is never a number."""
     if get_origin(kind) in (list, tuple):
         if not isinstance(value, list):
             raise ConfigError(f"{path}: expected a list, got {value!r}")
         return [_typed(item, get_args(kind)[0], f"{path}[{i}]") for i, item in enumerate(value)]
-    options = get_args(kind) or (kind,)
-    for option in options:
-        accepted = (int, float) if option is float else option
-        if isinstance(value, accepted) and isinstance(value, bool) == (option is bool):
-            return float(value) if option is float else value
-    raise ConfigError(f"{path}: expected {' or '.join(EXPECTED[o] for o in options)}, got {value!r}")
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, accepted) and isinstance(value, bool) == (kind is bool):
+        return float(value) if kind is float else value
+    raise ConfigError(f"{path}: expected {EXPECTED[kind]}, got {value!r}")
 
 
 def _read(block, path: str, required: dict, optional: dict = {}) -> dict:
@@ -160,7 +158,7 @@ def build_potential(pot_block: dict, grid: Grid1D) -> np.ndarray:
     return np.zeros(grid.point_count)
 
 
-FAMILIES = {"nls_ground_state": ({"grid": dict, "potential": dict, "mu": float}, {}),
+FAMILIES = {"nls_ground_state": ({"grid": dict, "potential": dict, "mu": float}, {"sign": int}),
             "nls_soliton": ({"grid": dict, "sigma": float, "lambda1": float, "lambda2": float}, {}),
             "benjamin_lump": ({"grid": dict, "Gamma": float, "sound_speed": float}, {})}
 
@@ -173,7 +171,8 @@ def build_problem(cfg: dict):
     V = build_potential(values["potential"], grid) if family == "nls_ground_state" else None
     try:
         if family == "nls_ground_state":
-            return problems.nls_ground_state(V, values["mu"], grid)
+            sign = {"sign": values["sign"]} if "sign" in values else {}
+            return problems.nls_ground_state(V, values["mu"], grid, **sign)
         if family == "nls_soliton":
             return problems.nls_soliton(problems.SolitonParameters(
                 sigma=values["sigma"], lambda1=values["lambda1"], lambda2=values["lambda2"]), grid)
@@ -203,18 +202,6 @@ def build_factor(cfg: dict, problem):
         raise ConfigError(f"factor.descriptor: {exc}") from None
 
 
-def _seed_phase(phase, problem) -> complex:
-    if phase is None:
-        return problem.seed_phase if problem.is_complex else 1.0
-    if phase == "real":
-        return 1.0
-    if phase == "imaginary":
-        return 1.0j
-    if isinstance(phase, str):
-        raise ConfigError(f"seed.phase: expected 'real', 'imaginary' or an angle, got {phase!r}")
-    return complex(np.exp(1j * phase))
-
-
 def _amplitudes(block, path: str, kind: dict = {}) -> tuple[float, float]:
     """(eps1, eps2) of an exact_perturbed seed: gauge and translation amplitudes."""
     try:
@@ -229,7 +216,7 @@ def _perturbed_exact(problem, eps1: float, eps2: float) -> Field:
     return exact + eps1 * exact.with_values(1j * exact.values) + eps2 * derivative(exact, 1)
 
 
-SEEDS = {"gaussian": ({"amplitude": float, "width": float}, {"antisymmetric": bool, "phase": str | float}),
+SEEDS = {"gaussian": ({"amplitude": float, "width": float}, {"antisymmetric": bool}),
          "file": ({"path": str}, {})}
 
 
@@ -242,12 +229,11 @@ def build_seed(cfg: dict, problem) -> Field:
     kind, values = _variant(block, "seed", "kind", SEEDS)
     if kind == "file":
         return read_profile_csv(values["path"], problem)
-    phase = _seed_phase(values.pop("phase", None), problem)
     try:
         seed = problems.gaussian_seed(problem.grid, **values)
     except ValueError as exc:
         raise ConfigError(f"seed: {exc}") from None
-    return seed.with_values(phase * seed.values.astype(complex)) if problem.is_complex else seed
+    return seed.with_values(seed.values.astype(complex)) if problem.is_complex else seed
 
 
 def output_dir(cfg: dict, override: str | None) -> Path:
@@ -333,7 +319,8 @@ def read_profile_csv(path: str | Path, problem, key: str = "seed.path") -> Field
     values = values.reshape(problem.grid.shape)
     if not problem.is_complex:
         if np.max(np.abs(values.imag)) > 1e-12 * max(np.max(np.abs(values)), 1.0):
-            raise ConfigError(f"{key}: complex profile supplied to a real-field problem")
+            raise ConfigError(f"{key}: complex profile supplied to a real-field problem, "
+                              "whose state is the 're' column")
         values = values.real
     return Field(problem.grid, values)
 
@@ -361,9 +348,9 @@ def summary_payload(seed: dict | None, problem, factor, result: SolveResult, eng
         else tr.final_factor_discrepancy,
         "engine": engine,
         "p": problem.degree,
-        "gamma": factor.gamma if factor is not None else None,
-        "q": factor.degree if factor is not None else None,
-        "factor": factor.descriptor if factor is not None else None,
+        "gamma": factor.gamma,
+        "q": factor.degree,
+        "factor": factor.descriptor,
         "problem": {"family": problem.name, **problem.params},
         "grid": grid_meta,
         "iteration_config": asdict(itconfig),

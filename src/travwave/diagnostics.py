@@ -34,15 +34,15 @@ def iteration_matrix_action(problem: ProblemModel, u_star: Field, v: Field) -> F
 
 
 def s_operator(problem: ProblemModel, u_star: Field) -> tuple[Callable, VectorSpace]:
-    """Vector-level oracle for S on the state's linearization space."""
-    space = problem.linearization_space(at=u_star)
+    """Vector-level oracle for S on the problem's linearization space."""
+    space = problem.linearization_space()
     return space.wrap(lambda f: iteration_matrix_action(problem, u_star, f)), space
 
 
 def f_operator(problem: ProblemModel, factor: StabilizingFactor,
                u_star: Field) -> tuple[Callable, VectorSpace]:
     """Vector-level oracle for F'(u*); the factor gradient is frozen at u*."""
-    space = problem.linearization_space(at=u_star)
+    space = problem.linearization_space()
     grad = factor.gradient(u_star)
 
     def action(f: Field) -> Field:

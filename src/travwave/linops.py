@@ -1,11 +1,7 @@
 """Adapters between fields and the real vector spaces linear algebra runs on.
 
-Real problems use the node values directly.  Complex problems with a
-real-linear Jacobian (the modulus-type nonlinearities) are realified to
-R^{2m} as [Re; Im].  Complex problems whose Jacobian is complex-linear (the
-Hadamard-power nonlinearities) keep invariant one-dimensional phase channels;
-at a state lying on such a channel the linearization restricts to a real
-m-dimensional operator, which is the space the convergence theory sees.
+Real problems use the node values directly.  Complex problems (whose
+Jacobians are only real-linear) are realified to R^{2m} as [Re; Im].
 """
 
 from __future__ import annotations
@@ -49,20 +45,11 @@ def realified_space(grid: Grid) -> VectorSpace:
     return VectorSpace(dim=2 * n, to_vector=to_vec, from_vector=from_vec)
 
 
-def phase_channel_space(grid: Grid, phase: complex) -> VectorSpace:
-    """Real coordinates g for fields of the form phase*g with g real."""
+def node_space(grid: Grid) -> VectorSpace:
+    """The node values of a real field, flattened (copies both ways)."""
     shape = grid.shape
-    n = int(np.prod(shape))
-    conj_phase = np.conj(phase)
-
-    def to_vec(f: Field) -> np.ndarray:
-        w = conj_phase * f.values
-        return np.ascontiguousarray(w.real).ravel().copy()
-
-    def from_vec(v: np.ndarray) -> Field:
-        return Field(grid, phase * v.reshape(shape))
-
-    return VectorSpace(dim=n, to_vector=to_vec, from_vector=from_vec)
+    return VectorSpace(dim=int(np.prod(shape)), to_vector=lambda f: np.real(f.values).flatten(),
+                       from_vector=lambda v: Field(grid, v.reshape(shape).copy()))
 
 
 def assemble_matrix(action: Callable[[np.ndarray], np.ndarray], dim: int) -> np.ndarray:

@@ -79,13 +79,9 @@ class ProblemModel:
     """Homogeneous system L u = N(u) on a periodic grid.
 
     `jacN_action(u, v)` is the (real-linear) directional derivative N'(u)v.
-    `jac_complex_linear` marks nonlinearities whose Jacobian is complex-linear
-    (Hadamard powers); such problems carry invariant phase channels and their
-    spectra are reported on the state's channel rather than on R^{2m}.
-    `seed_phase` is the unit phase of the channel carrying the localized
-    states (1 for real-valued problems).  `fourier` describes the Fourier
-    families in transform form; the stabilized loop then runs on their
-    coefficients instead of calling the four operators.
+    `fourier` describes the Fourier families in transform form; the
+    stabilized loop then runs on their coefficients instead of calling the
+    four operators.
     """
 
     name: str
@@ -98,8 +94,6 @@ class ProblemModel:
     jacN_action: Callable[[Field, Field], Field]
     exact_solution: Callable[..., Field] | None = None
     symmetries: tuple[str, ...] = ()
-    seed_phase: complex = 1.0
-    jac_complex_linear: bool = False
     params: dict = dataclass_field(default_factory=dict)
     fourier: FourierSymbol | None = None
 
@@ -119,24 +113,10 @@ class ProblemModel:
         Nc = fs.forward(fs.g(u.values))
         return OperatorPair(self, u, uc, fs.symbol * uc, Nc if fs.multiplier is None else fs.multiplier * Nc)
 
-    def linearization_space(self, at: Field | None = None) -> linops.VectorSpace:
-        """Real vector space the linearization acts on at the given state.
-
-        Complex-linear Jacobians restrict to the state's invariant phase
-        channel; real-linear complex problems realify to R^{2m}.
-        """
-        if not self.is_complex:
-            return linops.phase_channel_space(self.grid, 1.0)
-        if self.jac_complex_linear and at is not None:
-            nrm = at.norm
-            if nrm > 0:
-                re = float(np.linalg.norm(at.values.real.ravel()))
-                im = float(np.linalg.norm(at.values.imag.ravel()))
-                if im <= 1e-12 * nrm:
-                    return linops.phase_channel_space(self.grid, 1.0)
-                if re <= 1e-12 * nrm:
-                    return linops.phase_channel_space(self.grid, 1.0j)
-        return linops.realified_space(self.grid)
+    def linearization_space(self) -> linops.VectorSpace:
+        """Real vector space the linearization acts on: the node values of a
+        real problem, [Re; Im] of a complex one."""
+        return linops.realified_space(self.grid) if self.is_complex else linops.node_space(self.grid)
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,15 +220,18 @@ def _as_samples(potential, grid: Grid1D) -> np.ndarray:
     return v
 
 
-def nls_ground_state(potential, mu: float, grid: Grid1D) -> ProblemModel:
-    """Cubic ground-state system: L = D^2 + diag(V) - mu*I, N(U) = U^3, p = 3.
+def nls_ground_state(potential, mu: float, grid: Grid1D, sign: int = -1) -> ProblemModel:
+    """Cubic ground-state system: L = D^2 + diag(V) - mu*I, N(v) = sign*v^3, p = 3.
 
-    The field is complex; since L is real and the cube preserves the real and
-    imaginary axes, both are exactly invariant channels.  For potentials with
-    mu above the spectrum of D^2 + diag(V) the operator L is negative definite
-    and the localized branch lives on the imaginary axis (seed_phase = i);
-    indefinite L additionally supports real-axis states.
+    The field is real.  It stands for the two invariant axes of the complex
+    cubic L u = u^3: u = i v solves it exactly when L v = -v^3 (sign = -1),
+    u = v when L v = v^3 (sign = 1), and S = L^{-1} N'(u*) has the same
+    spectrum on either axis.  For potentials with mu above the spectrum of
+    D^2 + diag(V) the operator L is negative definite and the localized
+    branch has sign = -1; indefinite L also supports sign = 1 states.
     """
+    if isinstance(sign, bool) or sign not in (-1, 1):
+        raise ValueError(f"sign must be -1 or 1, got {sign!r}")
     # scipy is imported where it is called: the Fourier families run on numpy alone
     import scipy.linalg
     from scipy.linalg import lu_factor, lu_solve
@@ -264,38 +247,24 @@ def nls_ground_state(potential, mu: float, grid: Grid1D) -> ProblemModel:
             f"(reciprocal condition {rcond:.2e}; mu coincides with a discrete eigenvalue)"
         )
 
-    def apply_L(u: Field) -> Field:
-        v = u.values
-        if u.is_complex:
-            return u.with_values(L_dense @ v.real + 1j * (L_dense @ v.imag))
-        return u.with_values(L_dense @ v)
-
-    def solve_L(b: Field) -> Field:
-        v = b.values
-        if b.is_complex:
-            # split solves keep the phase channels exactly invariant
-            return b.with_values(lu_solve(factorization, v.real) + 1j * lu_solve(factorization, v.imag))
-        return b.with_values(lu_solve(factorization, v))
-
     def apply_N(u: Field) -> Field:
         v = u.values
-        return u.with_values(v * v * v)
+        return u.with_values(sign * v * v * v)
 
     def jacN(u: Field, w: Field) -> Field:
-        return w.with_values(3.0 * u.values * u.values * w.values)
+        v = u.values
+        return w.with_values(3.0 * sign * v * v * w.values)
 
     return ProblemModel(
         name="nls_ground_state",
         degree=3.0,
         grid=grid,
-        is_complex=True,
-        apply_L=apply_L,
-        solve_L=solve_L,
+        is_complex=False,
+        apply_L=lambda u: u.with_values(L_dense @ u.values),
+        solve_L=lambda b: b.with_values(lu_solve(factorization, b.values)),
         apply_N=apply_N,
         jacN_action=jacN,
-        seed_phase=1.0j,
-        jac_complex_linear=True,
-        params={"mu": mu},
+        params={"mu": mu, "sign": sign},
     )
 
 

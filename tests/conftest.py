@@ -46,7 +46,6 @@ def ground_state_problem(grid_1d):
 @pytest.fixture(scope="session")
 def ground_state_converged(ground_state_problem, grid_1d):
     seed = tw.gaussian_seed(grid_1d, 1.0, 2.0)
-    seed = seed.with_values(ground_state_problem.seed_phase * seed.values.astype(complex))
     factor = tw.petviashvili_factor("optimal", ground_state_problem)
     result = tw.solve(ground_state_problem, factor, seed,
                       tw.IterationConfig(max_iterations=100, residual_tolerance=1e-12))
@@ -56,14 +55,14 @@ def ground_state_converged(ground_state_problem, grid_1d):
 
 @pytest.fixture(scope="session")
 def double_well_problem(grid_1d):
-    return tw.nls_ground_state(tw.double_well_potential(grid_1d), 1.0, grid_1d)
+    return tw.nls_ground_state(tw.double_well_potential(grid_1d), 1.0, grid_1d, sign=1)
 
 
 @pytest.fixture(scope="session")
 def antisymmetric_state(double_well_problem, grid_1d):
     """Two-bump antisymmetric double-well state, found by damped Newton.
 
-    It lives on the real axis of the cubic model (the indefinite-L branch).
+    It solves L v = v^3 (sign = 1, the indefinite-L branch).
     """
     seed = tw.gaussian_seed(grid_1d, 2.0, 1.6, antisymmetric=True)
     result = tw.newton_solve(double_well_problem, seed,

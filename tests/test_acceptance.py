@@ -129,7 +129,7 @@ def test_criterion_05_antisymmetric_state_and_stabilized_failure(
     assert moduli[0] == pytest.approx(8.0032, rel=0.10)
     assert moduli[1] == pytest.approx(5.6760, rel=0.10)
 
-    bump = Field(grid_1d, np.exp(-(grid_1d.nodes - 0.7) ** 2 / 2.0).astype(complex))
+    bump = Field(grid_1d, np.exp(-(grid_1d.nodes - 0.7) ** 2 / 2.0))
     seed = antisymmetric_state + (1e-3 * antisymmetric_state.norm / bump.norm) * bump
     factor = tw.petviashvili_factor("optimal", double_well_problem)
     run = tw.solve(double_well_problem, factor, seed,
@@ -207,8 +207,8 @@ def test_criterion_09_one_step_scaling_identities(soliton_problem, soliton_exact
 def test_criterion_10_factor_law_suites(soliton_problem, soliton_converged,
                                         ground_state_problem, ground_state_converged):
     def families(prob, inner_name):
-        # inner map must pair with the state's phase channel: even powers of a
-        # purely imaginary state are real and Re-orthogonal to N(u)
+        # the ground state keeps the cube map: <N(u), u^3> = sign * sum(u^6)
+        # cannot vanish
         return [
             tw.petviashvili_factor("optimal", prob),
             tw.inner_factor(inner_name, 1.2, prob),
@@ -282,10 +282,7 @@ def test_criterion_12_classical_iteration_diverges(soliton_problem, soliton_exac
     cases = []
     # seed above the critical scale: small cubic seeds contract to the trivial
     # zero solution instead of blowing up
-    gs_seed = tw.gaussian_seed(grid_1d, 3.0, 2.0)
-    gs_seed = gs_seed.with_values(ground_state_problem.seed_phase
-                                  * gs_seed.values.astype(complex))
-    cases.append((ground_state_problem, gs_seed))
+    cases.append((ground_state_problem, tw.gaussian_seed(grid_1d, 3.0, 2.0)))
     soliton_seed = soliton_exact + 0.2 * soliton_exact.with_values(1j * soliton_exact.values)
     cases.append((soliton_problem, soliton_seed))
     lump = tw.benjamin_lump(0.0, 1.0, lump_grid_128)

@@ -435,6 +435,19 @@ class TestRecipes:
         ("continue", "fig2", ["continuation", "values", 0], False,
          "continuation.values[0]: expected a number, got False"),
         ("orbital", "fig67", ["output", "directry"], "out", "output: unknown keys ['directry']"),
+        # seed.phase is retired: the ground state is a real family with problem.sign
+        ("solve", "fig2", ["seed", "phase"], "imaginary", "seed: unknown keys ['phase']"),
+        ("solve", "fig2", ["seed", "phase"], 1.3, "seed: unknown keys ['phase']"),
+        ("spectrum", "table1_col34", ["seed", "phase"], "real", "seed: unknown keys ['phase']"),
+        ("spectrum", "table1_col12", ["problem", "sign"], 0, "problem: sign must be -1 or 1, got 0"),
+        ("spectrum", "table1_col12", ["problem", "sign"], 2, "problem: sign must be -1 or 1, got 2"),
+        ("spectrum", "table1_col34", ["problem", "sign"], 1.0,
+         "problem.sign: expected an integer, got 1.0"),
+        ("spectrum", "table1_col34", ["problem", "sign"], "real",
+         "problem.sign: expected an integer, got 'real'"),
+        ("spectrum", "table1_col34", ["problem", "sign"], True,
+         "problem.sign: expected an integer, got True"),
+        ("spectrum", "table2", ["problem", "sign"], -1, "problem: unknown keys ['sign']"),
     ])
     def test_ignored_or_mistyped_key_exits_2(self, tmp_path, capsys, command, recipe, keys, value,
                                              message):
@@ -602,6 +615,31 @@ class TestBadProfiles:
         cfg["diagnostics"] = {"state": "file", "state_path": str(bad)}
         assert main(["spectrum", "--config", write_config(tmp_path, cfg)]) == 2
         assert "config error: diagnostics.state_path: " in capsys.readouterr().err
+
+    def test_ground_state_profile_layout(self, tmp_path, capsys):
+        """The real ground state keeps its state in 're'.  A profile with the
+        state in 'im' (re all 0), as the complex form wrote it, is a config
+        error; the run's own profile reproduces its spectrum byte for byte."""
+        cfg = load_recipe("table1_col12")
+        assert main(["spectrum", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "run")]) == 0
+        own = tmp_path / "run" / "profile.csv"
+        rows = list(csv.reader(own.read_text().splitlines()))
+        assert rows[0] == ["x", "re", "im"] and all(row[2] == "0" for row in rows[1:])
+        old = tmp_path / "old_layout.csv"
+        old.write_text("x,re,im\r\n" + "".join(f"{x},0,{re}\r\n" for x, re, _ in rows[1:]))
+
+        seeded = {**cfg, "seed": {"kind": "file", "path": str(old)}}
+        assert main(["solve", "--config", write_config(tmp_path, seeded), "--out", str(tmp_path / "s")]) == 2
+        assert "config error: seed.path: " in capsys.readouterr().err
+
+        cfg["diagnostics"] = {"state": "file", "state_path": str(old)}
+        assert main(["spectrum", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "old")]) == 2
+        assert "config error: diagnostics.state_path: " in capsys.readouterr().err
+
+        cfg["diagnostics"]["state_path"] = str(own)
+        assert main(["spectrum", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "own")]) == 0
+        assert ((tmp_path / "own" / "spectrum_S.json").read_bytes()
+                == (tmp_path / "run" / "spectrum_S.json").read_bytes())
 
 
 class TestCollapse:

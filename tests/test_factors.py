@@ -155,8 +155,6 @@ class TestOptimalGamma:
 
 
 def make_factor_family(problem, inner_name="square"):
-    # choose an inner map that pairs with the problem's phase channel: even
-    # powers of purely imaginary states are real and Re-orthogonal to N(u)
     return [
         petviashvili_factor("optimal", problem),
         inner_factor(inner_name, 1.2, problem),
@@ -176,7 +174,7 @@ def valid_domain_sample(problem, seed):
     x = problem.grid.nodes
     base = np.exp(-(x**2) / 8.0) * (1.2 + 0.2 * rng.normal(size=x.size))
     if problem.is_complex:
-        base = problem.seed_phase * (base + 0.05j * base * rng.normal(size=x.size))
+        base = base + 0.05j * base * rng.normal(size=x.size)
     return Field(problem.grid, base)
 
 
@@ -189,7 +187,7 @@ class TestFactorLaws:
             for t in (0.1, 0.5, 2.0, 10.0):
                 assert factor(t * u) == pytest.approx(t**factor.degree * s_u, rel=1e-10)
 
-    def test_homogeneity_on_channel_problem(self, ground_state_problem):
+    def test_homogeneity_on_ground_state(self, ground_state_problem):
         u = valid_domain_sample(ground_state_problem, 7)
         for factor in make_factor_family(ground_state_problem, inner_name="cube"):
             s_u = factor(u)

@@ -99,10 +99,15 @@ class TestGroundState:
         ref = tw.nls_ground_state(tw.sech2_potential(grid_1d), 1.3, grid_1d)
         assert (problem.apply_L(u) - ref.apply_L(u)).norm <= 1e-14 * u.norm
 
-    def test_localized_branch_lives_on_imaginary_axis(self, ground_state_converged):
-        u = ground_state_converged.final
+    def test_localized_branch_lives_on_imaginary_axis(self, ground_state_problem,
+                                                      ground_state_converged):
+        # the sign = -1 state v stands for u = i v, a solution of L u = u^3
+        v = ground_state_converged.final
+        assert not v.is_complex
+        u = v.with_values(1j * v.values)
         assert np.max(np.abs(u.values.real)) == 0.0
         assert np.max(np.abs(u.values.imag)) > 0.1
+        assert (ground_state_problem.apply_L(u) - u.with_values(u.values**3)).norm <= 1e-11
 
     def test_converged_spectrum_leading_values(self, ground_state_problem, ground_state_converged):
         spec = tw.iteration_matrix_spectrum(ground_state_problem, ground_state_converged.final, 3)
