@@ -397,9 +397,10 @@ def cmd_spectrum(cfg: dict, outdir: Path) -> int:
     itconfig, engine = _iteration(cfg)
     seed = build_seed(cfg, problem) if "seed" in cfg else None
     state_kind, diag = _variant(cfg.get("diagnostics", {}), "diagnostics", "state", STATES, default="solve")
-    k = diag.get("spectrum_k", 6)
-    if k < 1:
-        raise ConfigError(f"diagnostics.spectrum_k: expected a positive integer, got {k!r}")
+    k, limit = diag.get("spectrum_k", 6), problem.linearization_space().dim - 1
+    if not 1 <= k < limit:
+        raise ConfigError(f"diagnostics.spectrum_k: Arnoldi needs 1 <= spectrum_k < dimension - 1 = {limit}, "
+                          f"got {k!r}")
 
     if state_kind == "exact":
         if problem.exact_solution is None:

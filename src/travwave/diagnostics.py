@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .factors import StabilizingFactor
-from .linops import VectorSpace, assemble_matrix, real_inner
+from .linops import VectorSpace, real_inner
 from .problems import ProblemModel, SolitonParameters, exact_soliton_profile
 from .spectral import Field, derivative
 
@@ -62,11 +62,10 @@ class SpectrumReport:
     near_unit: np.ndarray            # |.| within UNIT_TOL of 1
     dimension: int
     k: int
-    solver: str                      # "dense" | "arnoldi"
+    solver: str                      # always "arnoldi"; kept as a report key
+    eigenvectors: np.ndarray         # columns; not serialized
     converged: bool = True
     hypothesis: dict | None = None
-    eigenvectors: np.ndarray | None = None  # columns; not serialized
-    matrix: np.ndarray | None = None        # dense path only; not serialized
 
     @property
     def moduli(self) -> np.ndarray:
@@ -96,51 +95,41 @@ def top_eigenvalues(action: Callable[[np.ndarray], np.ndarray], dimension: int, 
                     p: float | None = None, seed_vector: np.ndarray | None = None) -> SpectrumReport:
     """k largest-modulus eigenvalues of a matrix-free linear operator.
 
-    Implicitly restarted Arnoldi (ARPACK, largest modulus) whenever
-    k < dimension - 1, ARPACK's own limit; smaller operators are assembled and
-    factorized densely.  The start vector is pseudo-random with a fixed seed,
-    so runs repeat exactly and no parity class is missing from the Krylov
-    space (a constant start vector is even, and a parity-preserving operator
-    keeps it even).  Eigen-residuals are measured through the oracle itself.
+    Implicitly restarted Arnoldi (ARPACK, largest modulus); 1 <= k < dimension - 1
+    is ARPACK's own limit, and any other k raises ValueError.  The start vector
+    is pseudo-random with a fixed seed, so runs repeat exactly and no parity
+    class is missing from the Krylov space (a constant start vector is even,
+    and a parity-preserving operator keeps it even).  Eigen-residuals are
+    measured through the oracle itself.
     """
-    k = min(k, dimension)
+    if not 1 <= k < dimension - 1:
+        raise ValueError(f"k must satisfy 1 <= k < dimension - 1 = {dimension - 1}, got {k}")
+    import scipy.sparse.linalg  # scipy loads on first use, not with travwave
     converged = True
-    A = None
-    if k < dimension - 1:
-        import scipy.sparse.linalg  # scipy loads on first use, not with travwave
-        solver = "arnoldi"
-        op = scipy.sparse.linalg.LinearOperator((dimension, dimension), matvec=action)
-        v0 = np.random.default_rng(0).standard_normal(dimension)
-        try:
-            eigvals, eigvecs = scipy.sparse.linalg.eigs(op, k=k, which="LM", v0=v0)
-        except scipy.sparse.linalg.ArpackNoConvergence as exc:
-            eigvals, eigvecs = exc.eigenvalues, exc.eigenvectors
-            converged = False
-    else:
-        import scipy.linalg
-        solver = "dense"
-        A = assemble_matrix(action, dimension)
-        eigvals, eigvecs = scipy.linalg.eig(A)
+    op = scipy.sparse.linalg.LinearOperator((dimension, dimension), matvec=action)
+    v0 = np.random.default_rng(0).standard_normal(dimension)
+    try:
+        eigvals, eigvecs = scipy.sparse.linalg.eigs(op, k=k, which="LM", v0=v0)
+    except scipy.sparse.linalg.ArpackNoConvergence as exc:
+        eigvals, eigvecs = exc.eigenvalues, exc.eigenvectors
+        converged = False
 
-    order = np.argsort(-np.abs(eigvals), kind="stable")[:k]
+    order = np.argsort(-np.abs(eigvals), kind="stable")
     eigvals = eigvals[order]
     eigvecs = eigvecs[:, order]
 
     residuals = np.empty(len(eigvals))
     for i, lam in enumerate(eigvals):
         v = eigvecs[:, i]
-        if np.iscomplexobj(v):
-            # the oracle acts on real vectors; split the complex eigenvector
-            av = action(np.ascontiguousarray(v.real)) + 1j * action(np.ascontiguousarray(v.imag))
-        else:
-            av = action(v)
+        # the oracle acts on real vectors; split the complex eigenvector
+        av = action(np.ascontiguousarray(v.real)) + 1j * action(np.ascontiguousarray(v.imag))
         residuals[i] = np.linalg.norm(av - lam * v) / np.linalg.norm(v)
 
     near_unit = np.abs(np.abs(eigvals) - 1.0) <= UNIT_TOL
     report = SpectrumReport(
         eigenvalues=eigvals, residuals=residuals, near_unit=near_unit,
-        dimension=dimension, k=k, solver=solver, converged=converged,
-        eigenvectors=eigvecs, matrix=A,
+        dimension=dimension, k=k, solver="arnoldi", eigenvectors=eigvecs,
+        converged=converged,
     )
     if p is not None:
         report.hypothesis = hypothesis_verdicts(report, p, seed_vector=seed_vector)
@@ -185,19 +174,19 @@ def hypothesis_verdicts(report: SpectrumReport, p: float,
     unit_entries = [{"eigenvalue": [float(lam[i].real), float(lam[i].imag)],
                      "eigen_residual": float(report.residuals[i])} for i in unit_idx]
     semisimple_proxy = None
-    if unit_idx and report.eigenvectors is not None:
+    if unit_idx:
         vecs = report.eigenvectors[:, unit_idx]
         svals = np.linalg.svd(vecs, compute_uv=False)
         rank = int(np.count_nonzero(svals > 1e-6 * svals[0]))
         semisimple_proxy = {"cluster_size": len(unit_idx), "eigenvector_rank": rank,
                             "independent": rank == len(unit_idx)}
-    if seed_vector is not None and unit_idx and report.eigenvectors is not None:
+    if seed_vector is not None and unit_idx:
         # orthogonal projection of the seed onto the invariant subspace of the
         # unit eigenvalues clustered around each one
         seed_norm = float(np.linalg.norm(seed_vector))
         for i, entry in zip(unit_idx, unit_entries):
             cluster = [j for j in unit_idx if abs(lam[j] - lam[i]) <= 10 * UNIT_TOL]
-            q = _cluster_basis(report, cluster, lam[i])
+            q = _cluster_basis(report, cluster)
             comp = float(np.linalg.norm(q.conj().T @ seed_vector.astype(q.dtype)))
             entry["seed_component"] = comp
             entry["seed_component_relative"] = comp / seed_norm if seed_norm else np.nan
@@ -217,22 +206,9 @@ def hypothesis_verdicts(report: SpectrumReport, p: float,
     }
 
 
-def _cluster_basis(report: SpectrumReport, indices: list[int], lam_c: complex) -> np.ndarray:
-    """Orthonormal basis of the invariant subspace for an eigenvalue cluster.
-
-    Arnoldi reports take a QR of the cluster's Ritz vectors.  Dense reports,
-    which only tiny operators produce, reorder a Schur factorization so the
-    cluster leads; this is stable even when the individual eigenvectors of
-    the non-normal matrix are nearly parallel.
-    """
-    if report.matrix is not None:
-        import scipy.linalg
-        radius = 10 * UNIT_TOL * max(1.0, abs(lam_c))
-        T, Z, sdim = scipy.linalg.schur(
-            report.matrix, output="complex",
-            sort=lambda z: abs(z - lam_c) <= radius)
-        if sdim > 0:
-            return Z[:, :sdim]
+def _cluster_basis(report: SpectrumReport, indices: list[int]) -> np.ndarray:
+    """Orthonormal basis of the invariant subspace for an eigenvalue cluster:
+    a QR of the cluster's Ritz vectors."""
     q, _ = np.linalg.qr(report.eigenvectors[:, indices])
     return q
 
@@ -264,9 +240,8 @@ def spectrum_shift_check(spec_S: SpectrumReport, spec_F: SpectrumReport,
                          p: float, q: float, tol: float = 1e-4) -> ShiftCheckReport:
     """Verify that stabilization replaces the eigenvalue p of S by p+q.
 
-    On full spectra the comparison is the exact multiset identity.  On top-k
-    reports only eigenvalues above the smallest reported S-modulus can be
-    predicted, so the comparison truncates there (the block-triangular
+    Top-k reports predict only eigenvalues above the smallest reported
+    S-modulus, so the comparison truncates there (the block-triangular
     structure says nothing about eigenvalues below the reported window).
     """
     s_vals = list(spec_S.eigenvalues)
@@ -275,11 +250,9 @@ def spectrum_shift_check(spec_S: SpectrumReport, spec_F: SpectrumReport,
     expected = np.array(s_vals + [complex(p + q)])
     actual = np.array(list(spec_F.eigenvalues))
 
-    full = spec_S.k == spec_S.dimension and spec_F.k == spec_F.dimension
-    if not full:
-        floor = float(np.min(spec_S.moduli)) + tol
-        expected = expected[np.abs(expected) > floor]
-        actual = actual[np.abs(actual) > floor]
+    floor = float(np.min(spec_S.moduli)) + tol
+    expected = expected[np.abs(expected) > floor]
+    actual = actual[np.abs(actual) > floor]
 
     n = min(len(expected), len(actual))
     expected = expected[np.argsort(-np.abs(expected), kind="stable")][:n]

@@ -101,7 +101,7 @@ def solve(problem: ProblemModel, factor: StabilizingFactor | None, u0: Field,
     def step(pair: OperatorPair, s: float) -> OperatorPair:
         return problem.pair(*pair.step(1.0 if factor is None else s))
 
-    return _iterate(problem, problem.project_pinned(u0), config, factor, step)
+    return _iterate(problem, _seed(problem, u0), config, factor, step)
 
 
 def newton_solve(problem: ProblemModel, u0: Field, config: IterationConfig | None = None) -> SolveResult:
@@ -132,7 +132,14 @@ def newton_solve(problem: ProblemModel, u0: Field, config: IterationConfig | Non
         return MAX_ITERATIONS  # line search stalled: no descent direction left
 
     # start where every later iterate lies: on the linearization space
-    return _iterate(problem, space.from_vector(space.to_vector(problem.project_pinned(u0))), cfg, None, step)
+    return _iterate(problem, space.from_vector(space.to_vector(_seed(problem, u0))), cfg, None, step)
+
+
+def _seed(problem: ProblemModel, u0: Field) -> Field:
+    """u0 with the pinned modes zeroed; a complex seed of a real problem is an error."""
+    if u0.is_complex and not problem.is_complex:
+        raise ValueError(f"seed is complex but problem {problem.name!r} is real")
+    return problem.project_pinned(u0)
 
 
 def _iterate(problem: ProblemModel, u: Field, config: IterationConfig | None,

@@ -171,12 +171,11 @@ def hilbert_transform(field: Field) -> Field:
 def diff_matrix(grid: Grid1D, order: int) -> np.ndarray:
     """Dense pseudospectral differentiation matrix, consistent with `derivative`.
 
-    Built by applying the FFT multiplier to the identity, so the two paths
-    agree to roundoff by construction.
+    D is circulant: its first column is the FFT multiplier applied to e_0,
+    ifft(multiplier), and D[i, j] = column[(i - j) mod m].
     """
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
     m = grid.point_count
-    mult = _derivative_multiplier(grid, order)
-    eye_hat = np.fft.fft(np.eye(m), axis=0)
-    return np.real(np.fft.ifft(mult[:, None] * eye_hat, axis=0))
+    column = np.real(np.fft.ifft(_derivative_multiplier(grid, order)))
+    return column[np.subtract.outer(np.arange(m), np.arange(m)) % m]

@@ -90,15 +90,19 @@ def lump_converged_fine(lump_grid_fine):
     return problem, result.final
 
 
-def make_synthetic_diagonal(scale=(1.0, 2.0, 3.0, 4.0), couplings=(0.0, -2.0, 1.5, 1.2)):
-    """Diagonal L with a bilinear degree-2 nonlinearity on a 4-point grid.
+def make_synthetic_diagonal(scale=(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0),
+                            couplings=(0.0, -2.0, 1.5, 1.2, 1.0, 0.6, 0.35, 0.16)):
+    """Diagonal L with a bilinear degree-2 nonlinearity on an 8-point grid.
 
-    N(u) = (u1^2, c2 u1 u2, c3 u1 u3, c4 u1 u4); the state u* = (l1, 0, 0, 0)
-    solves L u = N(u) exactly and S = diag(2, c2 l1/l2, c3 l1/l3, c4 l1/l4).
+    N(u) = (u1^2, c2 u1 u2, ..., c8 u1 u8); the state u* = (l1, 0, ..., 0)
+    solves L u = N(u) exactly and S = diag(2, c2 l1/l2, ..., c8 l1/l8), by
+    default diag(2, -1, 0.5, 0.3, 0.2, 0.1, 0.05, 0.02).  The eigenvalues are
+    distinct, so no Krylov space of a random start vector is invariant before
+    Arnoldi has found the top six.
     """
     lvec = np.asarray(scale, dtype=float)
     cvec = np.asarray(couplings, dtype=float)
-    grid = Grid1D(1.0, 4)
+    grid = Grid1D(1.0, lvec.size)
 
     def apply_L(u):
         return u.with_values(lvec * u.values)
@@ -108,27 +112,22 @@ def make_synthetic_diagonal(scale=(1.0, 2.0, 3.0, 4.0), couplings=(0.0, -2.0, 1.
 
     def apply_N(u):
         v = u.values
-        out = np.array([v[0] ** 2, cvec[1] * v[0] * v[1],
-                        cvec[2] * v[0] * v[2], cvec[3] * v[0] * v[3]])
+        out = cvec * v[0] * v
+        out[0] = v[0] ** 2
         return u.with_values(out)
 
     def jacN(u, w):
         v, x = u.values, w.values
-        out = np.array([
-            2.0 * v[0] * x[0],
-            cvec[1] * (v[1] * x[0] + v[0] * x[1]),
-            cvec[2] * (v[2] * x[0] + v[0] * x[2]),
-            cvec[3] * (v[3] * x[0] + v[0] * x[3]),
-        ])
+        out = cvec * (v * x[0] + v[0] * x)
+        out[0] = 2.0 * v[0] * x[0]
         return w.with_values(out)
 
     problem = tw.ProblemModel(
         name="synthetic_diagonal", degree=2.0, grid=grid, is_complex=False,
         apply_L=apply_L, solve_L=solve_L, apply_N=apply_N, jacN_action=jacN,
     )
-    u_star = Field(grid, np.array([lvec[0], 0.0, 0.0, 0.0]))
-    s_eigs = np.array([2.0, cvec[1] * lvec[0] / lvec[1],
-                       cvec[2] * lvec[0] / lvec[2], cvec[3] * lvec[0] / lvec[3]])
+    u_star = Field(grid, np.eye(lvec.size)[0] * lvec[0])
+    s_eigs = np.concatenate([[2.0], cvec[1:] * lvec[0] / lvec[1:]])
     return problem, u_star, s_eigs
 
 

@@ -242,6 +242,16 @@ class TestSpectrum:
         assert main(["spectrum", "--config", cfg_path, "--out", str(tmp_path / "spec")]) == 2
         assert "spectrum_k" in capsys.readouterr().err
 
+    def test_spectrum_k_at_arnoldi_limit_exits_2_before_the_solve(self, tmp_path, capsys):
+        cfg = load_recipe("table1_col12")
+        cfg["problem"]["grid"]["points"] = 64  # dimension 64: Arnoldi needs k < 63
+        cfg["diagnostics"]["spectrum_k"] = 63
+        out = tmp_path / "spec"
+        assert main(["spectrum", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "diagnostics.spectrum_k" in err and "dimension - 1 = 63" in err
+        assert not (out / "summary.json").exists()
+
     def test_unknown_iteration_key_exits_2(self, tmp_path, capsys):
         cfg = load_recipe("table2")
         cfg["iteration"]["max_iteration"] = 3

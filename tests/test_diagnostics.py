@@ -44,12 +44,22 @@ class TestTopEigenvalues:
         expected = diag[-4:][::-1]
         assert np.allclose(np.sort(report.moduli)[::-1], expected, atol=1e-8)
 
-    def test_dense_residuals_reported(self, synthetic_diagonal):
+    def test_synthetic_eigenpairs_exact(self, synthetic_diagonal):
         problem, u_star, s_eigs = synthetic_diagonal
-        report = tw.iteration_matrix_spectrum(problem, u_star, 4)
-        assert report.solver == "dense"
+        report = tw.iteration_matrix_spectrum(problem, u_star, 6)
+        assert report.solver == "arnoldi"
         assert np.max(report.residuals) <= 1e-12
-        assert np.allclose(np.sort(report.eigenvalues.real), np.sort(s_eigs), atol=1e-12)
+        top = s_eigs[np.argsort(-np.abs(s_eigs))[:6]]
+        assert np.allclose(report.eigenvalues, top, rtol=0.0, atol=1e-12)
+        again = tw.iteration_matrix_spectrum(problem, u_star, 6)
+        assert np.array_equal(again.eigenvalues, report.eigenvalues)
+        assert np.array_equal(again.eigenvectors, report.eigenvectors)
+
+    @pytest.mark.parametrize("k", [0, 7, 8, 9])
+    def test_k_outside_arnoldi_limit_rejected(self, synthetic_diagonal, k):
+        problem, u_star, _ = synthetic_diagonal
+        with pytest.raises(ValueError, match="dimension - 1 = 7"):
+            tw.iteration_matrix_spectrum(problem, u_star, k)
 
 
 # (problem fixture, state fixture) of the three bundled spectrum recipes
@@ -119,11 +129,12 @@ class TestSpectrumShift:
     def test_synthetic_exact_match(self, synthetic_diagonal):
         problem, u_star, _ = synthetic_diagonal
         factor = tw.petviashvili_factor("optimal", problem)
-        spec_S = tw.iteration_matrix_spectrum(problem, u_star, 4)
-        spec_F = tw.jacobian_spectrum(problem, factor, u_star, 4)
+        spec_S = tw.iteration_matrix_spectrum(problem, u_star, 6)
+        spec_F = tw.jacobian_spectrum(problem, factor, u_star, 6)
         check = tw.spectrum_shift_check(spec_S, spec_F, problem.degree, factor.degree,
                                         tol=1e-12)
         assert check.ok
+        assert check.compared >= 4
         assert check.max_deviation <= 1e-12
 
     def test_synthetic_brute_force_oracle(self, synthetic_diagonal):
@@ -135,7 +146,7 @@ class TestSpectrumShift:
             u = Field(problem.grid, vals)
             return (factor(u) * problem.solve_L(problem.apply_N(u)).values)
 
-        n = 4
+        n = u_star.values.size
         eps = 1e-6
         J = np.empty((n, n))
         base = u_star.values
@@ -143,10 +154,11 @@ class TestSpectrumShift:
             e = np.zeros(n)
             e[j] = eps
             J[:, j] = (full_map(base + e) - full_map(base - e)) / (2 * eps)
-        fd_eigs = np.sort(np.linalg.eigvals(J).real)
+        fd_eigs = np.linalg.eigvals(J).real
+        top = fd_eigs[np.argsort(-np.abs(fd_eigs))[:6]]
 
-        spec_F = tw.jacobian_spectrum(problem, factor, u_star, 4)
-        assert np.allclose(np.sort(spec_F.eigenvalues.real), fd_eigs, atol=1e-6)
+        spec_F = tw.jacobian_spectrum(problem, factor, u_star, 6)
+        assert np.allclose(np.sort(spec_F.eigenvalues.real), np.sort(top), atol=1e-6)
 
     def test_ground_state_shift_pattern(self, ground_state_problem, ground_state_converged):
         factor = tw.petviashvili_factor("optimal", ground_state_problem)
@@ -274,12 +286,13 @@ class TestDecomposeError:
 
 class TestHarmfulDirection:
     def test_unit_modulus_component_persists(self):
-        # synthetic S = diag(2, -1, 0.5, 0.3): unit non-symmetry direction e2
-        problem, u_star, s_eigs = make_synthetic_diagonal(couplings=(0.0, -2.0, 1.5, 1.2))
+        # synthetic S = diag(2, -1, 0.5, 0.3, ...): unit non-symmetry direction e2
+        problem, u_star, s_eigs = make_synthetic_diagonal()
         assert s_eigs[1] == pytest.approx(-1.0)
         factor = tw.petviashvili_factor("optimal", problem)
         delta = 1e-3
-        seed = Field(problem.grid, u_star.values + np.array([0.0, delta, 0.3 * delta, 0.0]))
+        seed = Field(problem.grid, u_star.values + np.array([0.0, delta, 0.3 * delta, 0.0,
+                                                             0.0, 0.0, 0.0, 0.0]))
         result = tw.solve(problem, factor, seed,
                           tw.IterationConfig(max_iterations=200, residual_tolerance=1e-14))
         assert result.status != "converged"
@@ -288,9 +301,10 @@ class TestHarmfulDirection:
         assert abs(err[2]) <= 1e-12  # the contracting direction died out
 
     def test_clean_seed_converges_on_same_problem(self):
-        problem, u_star, _ = make_synthetic_diagonal(couplings=(0.0, -2.0, 1.5, 1.2))
+        problem, u_star, _ = make_synthetic_diagonal()
         factor = tw.petviashvili_factor("optimal", problem)
-        seed = Field(problem.grid, u_star.values + np.array([0.2, 0.0, 1e-3, 0.0]))
+        seed = Field(problem.grid, u_star.values + np.array([0.2, 0.0, 1e-3, 0.0,
+                                                             0.0, 0.0, 0.0, 0.0]))
         result = tw.solve(problem, factor, seed,
                           tw.IterationConfig(max_iterations=200, residual_tolerance=1e-13))
         assert result.status == "converged"
@@ -337,7 +351,8 @@ class TestSerialization:
         problem, u_star, _ = synthetic_diagonal
         report = tw.iteration_matrix_spectrum(problem, u_star, 4)
         payload = json.loads(json.dumps(report.to_json_dict()))
-        assert payload["dimension"] == 4
+        assert payload["dimension"] == 8
+        assert payload["solver"] == "arnoldi"
         assert len(payload["eigenvalues"]) == 4
         assert payload["hypothesis"]["p"] == 2.0
 

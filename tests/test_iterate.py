@@ -110,6 +110,12 @@ class TestSolve:
             tw.solve(soliton_problem, factor, Field(grid_1d, np.zeros(512, dtype=complex)),
                      tw.IterationConfig())
 
+    def test_complex_seed_on_real_problem_rejected(self, ground_state_problem, grid_1d):
+        seed = tw.gaussian_seed(grid_1d, 1.0, 2.0)
+        factor = tw.petviashvili_factor("optimal", ground_state_problem)
+        with pytest.raises(ValueError, match="seed is complex but problem 'nls_ground_state' is real"):
+            tw.solve(ground_state_problem, factor, seed.with_values(1j * seed.values))
+
     def test_petviashvili_cannot_hold_antisymmetric_state(self, double_well_problem,
                                                           antisymmetric_state, grid_1d):
         # perturb the Newton state by 1e-3 and run the stabilized iteration
@@ -176,6 +182,11 @@ class TestNewton:
                                  tw.IterationConfig(max_iterations=5, residual_tolerance=1e-12))
         assert result.status == "converged"
         assert result.trace.iteration_count <= 2
+
+    def test_complex_seed_on_real_problem_rejected(self, ground_state_problem, grid_1d):
+        seed = tw.gaussian_seed(grid_1d, 1.0, 2.0)
+        with pytest.raises(ValueError, match="seed is complex but problem 'nls_ground_state' is real"):
+            tw.newton_solve(ground_state_problem, seed.with_values(1j * seed.values))
 
     def test_antisymmetric_double_well_state(self, double_well_problem, antisymmetric_state):
         v = antisymmetric_state.values.real
