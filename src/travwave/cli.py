@@ -202,31 +202,23 @@ def build_factor(cfg: dict, problem):
         raise ConfigError(f"factor.descriptor: {exc}") from None
 
 
-def _amplitudes(block, path: str, kind: dict = {}) -> tuple[float, float]:
-    """(eps1, eps2) of an exact_perturbed seed: gauge and translation amplitudes."""
-    try:
-        eps = _read(block, path, {}, {**kind, "eps1": float, "eps2": float})
-    except ConfigError as exc:
-        raise ConfigError(f"{exc} (an exact_perturbed seed takes eps1 and eps2, both numbers)") from None
-    return eps.get("eps1", 0.0), eps.get("eps2", 0.0)
-
-
-def _perturbed_exact(problem, eps1: float, eps2: float) -> Field:
+def _perturbed_exact(problem, eps1: float = 0.0, eps2: float = 0.0) -> Field:
     exact = problem.exact_solution()
     return exact + eps1 * exact.with_values(1j * exact.values) + eps2 * derivative(exact, 1)
 
 
+AMPLITUDES = {"eps1": float, "eps2": float}
 SEEDS = {"gaussian": ({"amplitude": float, "width": float}, {"antisymmetric": bool}),
+         "exact_perturbed": ({}, AMPLITUDES),
          "file": ({"path": str}, {})}
 
 
 def build_seed(cfg: dict, problem) -> Field:
-    block = cfg.get("seed")
-    if isinstance(block, dict) and block.get("kind") == "exact_perturbed":
+    kind, values = _variant(cfg.get("seed"), "seed", "kind", SEEDS)
+    if kind == "exact_perturbed":
         if problem.exact_solution is None:
             raise ConfigError("seed.kind: exact_perturbed requires a problem with an exact solution")
-        return _perturbed_exact(problem, *_amplitudes(block, "seed", {"kind": str}))
-    kind, values = _variant(block, "seed", "kind", SEEDS)
+        return _perturbed_exact(problem, **values)
     if kind == "file":
         return read_profile_csv(values["path"], problem)
     try:
@@ -489,13 +481,15 @@ def cmd_orbital(cfg: dict, outdir: Path) -> int:
     listed = _read(cfg.get("orbital"), "orbital", {"experiments": list[dict]})["experiments"]
     if not listed:
         raise ConfigError("orbital.experiments: expected at least one experiment")
-    runs = [_amplitudes(exp, f"orbital.experiments[{i}]") for i, exp in enumerate(listed)]
+    runs = [{"eps1": 0.0, "eps2": 0.0, **_read(exp, f"orbital.experiments[{i}]", {}, AMPLITUDES)}
+            for i, exp in enumerate(listed)]
 
     params = problems.SolitonParameters(**problem.params)
     index = []
-    for eps1, eps2 in runs:
-        record = {"kind": "exact_perturbed", "eps1": eps1, "eps2": eps2}
-        result = _run_engine(engine, problem, factor, _perturbed_exact(problem, eps1, eps2), itconfig)
+    for run in runs:
+        eps1, eps2 = run["eps1"], run["eps2"]
+        record = {"kind": "exact_perturbed", **run}
+        result = _run_engine(engine, problem, factor, _perturbed_exact(problem, **run), itconfig)
         sub = outdir / f"run_eps1_{eps1:g}_eps2_{eps2:g}"
         sub.mkdir(parents=True, exist_ok=True)
         _solve_outputs(sub, record, problem, factor, result, engine, itconfig)

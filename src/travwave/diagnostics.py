@@ -91,8 +91,7 @@ class SpectrumReport:
         }
 
 
-def top_eigenvalues(action: Callable[[np.ndarray], np.ndarray], dimension: int, k: int,
-                    p: float | None = None, seed_vector: np.ndarray | None = None) -> SpectrumReport:
+def top_eigenvalues(action: Callable[[np.ndarray], np.ndarray], dimension: int, k: int) -> SpectrumReport:
     """k largest-modulus eigenvalues of a matrix-free linear operator.
 
     Implicitly restarted Arnoldi (ARPACK, largest modulus); 1 <= k < dimension - 1
@@ -126,22 +125,22 @@ def top_eigenvalues(action: Callable[[np.ndarray], np.ndarray], dimension: int, 
         residuals[i] = np.linalg.norm(av - lam * v) / np.linalg.norm(v)
 
     near_unit = np.abs(np.abs(eigvals) - 1.0) <= UNIT_TOL
-    report = SpectrumReport(
+    return SpectrumReport(
         eigenvalues=eigvals, residuals=residuals, near_unit=near_unit,
         dimension=dimension, k=k, solver="arnoldi", eigenvectors=eigvecs,
         converged=converged,
     )
-    if p is not None:
-        report.hypothesis = hypothesis_verdicts(report, p, seed_vector=seed_vector)
-    return report
 
 
 def iteration_matrix_spectrum(problem: ProblemModel, u_star: Field, k: int,
                               seed: Field | None = None) -> SpectrumReport:
+    """Top-k spectrum of S, with the hypothesis verdicts for the problem's degree
+    (and the seed's components in the unit-modulus eigenspaces, when given)."""
     action, space = s_operator(problem, u_star)
+    report = top_eigenvalues(action, space.dim, k)
     seed_vec = space.to_vector(seed) if seed is not None else None
-    return top_eigenvalues(action, space.dim, k, p=problem.degree,
-                           seed_vector=seed_vec)
+    report.hypothesis = hypothesis_verdicts(report, problem.degree, seed_vec)
+    return report
 
 
 def jacobian_spectrum(problem: ProblemModel, factor: StabilizingFactor, u_star: Field,

@@ -95,22 +95,37 @@ def _resolve_gamma(gamma, p: float) -> float:
 
 @dataclass(frozen=True)
 class StabilizingFactor:
-    """Evaluation s(u), its homogeneity degree q, and gradient access."""
+    """s(u) = (A(u)/B(u))^gamma, its homogeneity degree q, and its gradient.
+
+    A family supplies `_parts(pair) -> (A(u), B(u))` and `_derivatives(pair)`,
+    the functional v -> (A'(u) v, B'(u) v); the power and the quotient rule
+    are applied here, once for every family.
+    """
 
     descriptor: str
     gamma: float
     degree: float  # q
     problem: ProblemModel
-    _ratio: Callable[[OperatorPair], float]
-    _gradient: Callable[[Field], Callable[[Field], float]]
+    _parts: Callable[[OperatorPair], tuple[float, float]]
+    _derivatives: Callable[[OperatorPair], Callable[[Field], tuple[float, float]]]
 
     def __call__(self, u: Field, pair: OperatorPair | None = None) -> float:
         """s(u); `pair` is a precomputed `problem.pair(u)` to evaluate from."""
-        return _power(self._ratio(self.problem.pair(u) if pair is None else pair), self.gamma)
+        num, den = self._parts(self.problem.pair(u) if pair is None else pair)
+        return _power(num / den, self.gamma)
 
     def gradient(self, u: Field) -> Callable[[Field], float]:
         """Directional-derivative functional v -> grad s(u) . v."""
-        return self._gradient(u)
+        pair = self.problem.pair(u)
+        num, den = self._parts(pair)
+        derivatives = self._derivatives(pair)
+        s_scale = self.gamma * _power(num / den, self.gamma - 1.0)
+
+        def directional(v: Field) -> float:
+            dnum, dden = derivatives(v)
+            return s_scale * (dnum * den - num * dden) / den**2
+
+        return directional
 
 
 def _format_gamma(gamma: float) -> str:
@@ -144,36 +159,21 @@ def inner_factor(f: str, gamma, problem: ProblemModel, allow_marginal: bool = Fa
             )
         return num, den
 
-    def ratio(pair: OperatorPair) -> float:
-        num, den = parts(pair)
-        return num / den
-
-    def gradient(u: Field) -> Callable[[Field], float]:
-        pair = problem.pair(u)
-        num, den = parts(pair)
+    def derivatives(pair: OperatorPair) -> Callable[[Field], tuple[float, float]]:
+        u = pair.u
         Lu, Nu = pair.field(pair.Lc), pair.field(pair.Nc)
         fu = u.with_values(fmap.apply(u.values))
-        R = num / den
-        s_scale = _ratio_power_derivative(R, gamma)
 
-        def directional(v: Field) -> float:
+        def directional(v: Field) -> tuple[float, float]:
             Lv = problem.apply_L(v)
             dfv = u.with_values(fmap.jac(u.values, v.values))
             jNv = problem.jacN_action(u, v)
-            dnum = real_inner(Lv, fu) + real_inner(Lu, dfv)
-            dden = real_inner(jNv, fu) + real_inner(Nu, dfv)
-            return s_scale * (dnum * den - num * dden) / den**2
+            return (real_inner(Lv, fu) + real_inner(Lu, dfv),
+                    real_inner(jNv, fu) + real_inner(Nu, dfv))
 
         return directional
 
-    return StabilizingFactor(descriptor, gamma, q, problem, ratio, gradient)
-
-
-def _ratio_power_derivative(R: float, gamma: float) -> float:
-    """d(R^gamma)/dR = gamma * R^(gamma-1), guarding the branch."""
-    if R <= 0.0 and not float(gamma - 1.0).is_integer():
-        raise FactorDomainError(f"gradient of ratio^{gamma} undefined at ratio = {R:.3g}")
-    return gamma * R ** (gamma - 1.0)
+    return StabilizingFactor(descriptor, gamma, q, problem, parts, derivatives)
 
 
 def norm_factor(r, gamma, problem: ProblemModel, allow_marginal: bool = False) -> StabilizingFactor:
@@ -186,35 +186,32 @@ def norm_factor(r, gamma, problem: ProblemModel, allow_marginal: bool = False) -
     r_name = "inf" if np.isinf(r_val) else f"{r_val:g}"
     descriptor = f"norm:{r_name}:{_format_gamma(gamma)}"
 
-    def vec_norm(field: Field) -> float:
-        return float(np.linalg.norm(field.values.ravel(), ord=r_val))
+    def vec_norm(x: np.ndarray) -> float:
+        return float(np.linalg.norm(x, ord=r_val))
 
-    def ratio(pair: OperatorPair) -> float:
-        den = vec_norm(pair.field(pair.Nc))
+    def parts(pair: OperatorPair):
+        Lu, Nu = (pair.field(c).values.ravel() for c in (pair.Lc, pair.Nc))
+        den = vec_norm(Nu)
         if den <= 1e-300:
             raise DegenerateDenominatorError(f"||N(u)||_{r_name} = 0 for {descriptor}")
-        return vec_norm(pair.field(pair.Lc)) / den
+        return vec_norm(Lu), den
 
-    def gradient(u: Field) -> Callable[[Field], float]:
-        base = u
-        if r_val in (1.0, np.inf):
-            # nudge off the measure-zero kinks of the 1- and sup-norms
-            pattern = np.cos(np.arange(u.values.size, dtype=float)).reshape(u.values.shape)
-            base = u.with_values(u.values + 1e-12 * max(u.norm, 1.0) * pattern)
+    def norm_gradient(x: np.ndarray) -> np.ndarray:
+        """g with d||x||_r = Re <g, dx>: unit(x) (|x|/||x||_r)^(r-1), where
+        unit(0) = 0 (so r = 1 gives sign(x)); for r = inf, unit(x) at the first
+        maximum of |x|."""
+        modulus = np.abs(x)
+        unit = np.divide(x, modulus, out=np.zeros_like(x), where=modulus > 0.0)
+        if np.isinf(r_val):
+            return unit * (np.arange(x.size) == np.argmax(modulus))
+        return unit * (modulus / vec_norm(x)) ** (r_val - 1.0)
 
-        def directional(v: Field) -> float:
-            vn = v.norm
-            if vn == 0.0:
-                return 0.0
-            eps = 1e-6 * max(base.norm, 1.0) / vn
-            plus = factor(base + eps * v)
-            minus = factor(base + (-eps) * v)
-            return (plus - minus) / (2.0 * eps)
+    def derivatives(pair: OperatorPair) -> Callable[[Field], tuple[float, float]]:
+        gL, gN = (norm_gradient(pair.field(c).values.ravel()) for c in (pair.Lc, pair.Nc))
+        return lambda v: (float(np.real(np.vdot(gL, problem.apply_L(v).values.ravel()))),
+                          float(np.real(np.vdot(gN, problem.jacN_action(pair.u, v).values.ravel()))))
 
-        return directional
-
-    factor = StabilizingFactor(descriptor, gamma, q, problem, ratio, gradient)
-    return factor
+    return StabilizingFactor(descriptor, gamma, q, problem, parts, derivatives)
 
 
 def from_descriptor(descriptor: str, problem: ProblemModel, allow_marginal: bool = False) -> StabilizingFactor:

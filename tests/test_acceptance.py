@@ -239,7 +239,7 @@ def test_criterion_10_factor_law_suites(soliton_problem, soliton_converged,
         for t in (0.1, 0.5, 2.0, 10.0):
             assert factor(t * u) == pytest.approx(t**factor.degree * s_u, rel=1e-10)
         grad = factor.gradient(u)
-        assert grad(u) == pytest.approx(factor.degree * s_u, rel=1e-6)
+        assert grad(u) == pytest.approx(factor.degree * s_u, rel=1e-12)
         errs = []
         for eps in (1e-3, 1e-4):
             fd = (factor(u + eps * v) - factor(u + (-eps) * v)) / (2 * eps)
@@ -247,7 +247,7 @@ def test_criterion_10_factor_law_suites(soliton_problem, soliton_converged,
         order = np.log(errs[0] / errs[1]) / np.log(10.0)
         assert order >= 1.9
     report(10, "(P1) within 1e-8 at converged states, (P2) within 1e-10, Euler "
-               "identity within 1e-6, gradient FD order >= 1.9 for all families")
+               "identity within 1e-12, gradient FD order >= 1.9 for all families")
 
 
 def test_criterion_11_lump_continuation_and_factor_comparison(lump_continuation,

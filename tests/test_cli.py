@@ -146,7 +146,14 @@ class TestSolve:
     def test_non_numeric_perturbation_exits_2(self, tmp_path, capsys, eps):
         cfg = soliton_config(tmp_path / "x", seed={"kind": "exact_perturbed", **eps})
         assert main(["solve", "--config", write_config(tmp_path, cfg)]) == 2
-        assert "eps1 and eps2" in capsys.readouterr().err
+        key, value = next(iter(eps.items()))
+        assert f"seed.{key}: expected a number, got {value!r}" in capsys.readouterr().err
+
+    def test_exact_perturbed_seed_needs_an_exact_solution(self, tmp_path, capsys):
+        cfg = load_recipe("table1_col12")
+        cfg["seed"] = {"kind": "exact_perturbed", "eps1": 0.1}
+        assert main(["solve", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "x")]) == 2
+        assert "seed.kind: exact_perturbed requires a problem with an exact solution" in capsys.readouterr().err
 
     def test_newton_engine(self, tmp_path):
         out = tmp_path / "newton"
@@ -224,6 +231,21 @@ class TestSpectrum:
         assert hyp["satisfied"] is False
         assert "unverified" in hyp["verdict"]
         assert "satisfied" not in hyp["verdict"]
+
+    @pytest.mark.parametrize("r", ["1", "2", "inf"])
+    def test_norm_factor_spectra_verified_on_table2(self, tmp_path, r):
+        """The norm factors' gradients are analytic, so F' passes the residual
+        gate at the kinks of the 1- and sup-norms too."""
+        cfg = load_recipe("table2")
+        cfg["factor"]["descriptor"] = f"norm:{r}:optimal"
+        out = tmp_path / "spec"
+        assert main(["spectrum", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        spec = json.loads((out / "spectrum_F.json").read_text())
+        assert spec["verified"] is True
+        assert max(spec["eigen_residuals"]) <= 1e-12
+        hyp = json.loads((out / "hypothesis_report.json").read_text())
+        assert hyp["verdict"] == "hypotheses (i)-(ii) satisfied"
+        assert hyp["spectrum_shift_check"]["ok"]
 
     @pytest.mark.parametrize("state", ["exact", "file"])
     def test_malformed_seed_exits_2(self, tmp_path, capsys, state):
@@ -385,7 +407,8 @@ class TestOrbital:
         cfg["orbital"]["experiments"] = [experiment]
         cfg_path = write_config(tmp_path, cfg)
         assert main(["orbital", "--config", cfg_path, "--out", str(tmp_path / "orb")]) == 2
-        assert "eps1 and eps2" in capsys.readouterr().err
+        key, value = next((k, v) for k, v in experiment.items() if not isinstance(v, float))
+        assert f"orbital.experiments[0].{key}: expected a number, got {value!r}" in capsys.readouterr().err
 
     def test_bad_later_experiment_exits_2_before_any_run(self, tmp_path, capsys):
         cfg = load_recipe("fig67")

@@ -207,9 +207,9 @@ class TestHypotheses:
         assert max(pure) <= 1e-6 * soliton_exact.norm
 
     def test_identity_unit_cluster_flagged(self):
-        report = tw.top_eigenvalues(lambda v: v, dimension=30, k=4, p=1.0)
+        report = tw.top_eigenvalues(lambda v: v, dimension=30, k=4)
         assert all(report.near_unit)
-        assert not report.hypothesis["i_dominant_simple"]
+        assert not hypothesis_verdicts(report, 1.0)["i_dominant_simple"]
 
 
 class TestSymmetryGenerators:

@@ -204,7 +204,7 @@ class TestFactorLaws:
         u = valid_domain_sample(soliton_problem, 20 + seed)
         for factor in make_factor_family(soliton_problem):
             pairing = factor.gradient(u)(u)
-            assert pairing == pytest.approx(factor.degree * factor(u), rel=1e-6)
+            assert pairing == pytest.approx(factor.degree * factor(u), rel=1e-12)
 
     def test_gradient_at_solution_pairs_to_q(self, soliton_problem, soliton_converged):
         u_star = soliton_converged.final

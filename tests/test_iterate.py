@@ -267,6 +267,54 @@ class TestNewton:
         assert newton.norms[0] == stabilized.norms[0]
 
 
+def scaled_square_problem(scale=1.0, jac_sign=1.0):
+    """L = scale*I and N(u) = u*u on a 2-node grid; jacN_action is N'(u)v
+    times jac_sign, so jac_sign = -1 stands for a wrong Jacobian."""
+    return tw.ProblemModel(
+        name="scaled_square", degree=2.0, grid=Grid1D(1.0, 2), is_complex=False,
+        apply_L=lambda u: scale * u,
+        solve_L=lambda b: (1.0 / scale) * b,
+        apply_N=lambda u: u.with_values(u.values * u.values),
+        jacN_action=lambda u, v: v.with_values(jac_sign * 2.0 * u.values * v.values),
+    )
+
+
+def two_nodes(a, b):
+    return Field(Grid1D(1.0, 2), np.array([a, b]))
+
+
+class TestRunEnds:
+    """Exits of the loop that report a failure instead of raising."""
+
+    def test_non_finite_iterate_is_diverged(self):
+        # L^-1 = 1e300 I overflows N(u) = 4e8 while RE_0 is still under the guard
+        problem = scaled_square_problem(scale=1e-300)
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = tw.solve(problem, None, two_nodes(2e4, 2e4),
+                              tw.IterationConfig(max_iterations=5, divergence_guard=1e300))
+        assert result.status == "diverged"
+        assert result.trace.iteration_count == 1
+        assert np.isfinite(result.trace.residuals[0])
+        assert result.trace.residuals[-1] == np.inf
+        assert not np.all(np.isfinite(result.final.values))
+
+    def test_failed_gmres_ends_newton_as_diverged(self):
+        # J = I - 2 diag(u) vanishes at u = (0.5, 0.5), where G(u) = (0.25, 0.25)
+        result = tw.newton_solve(scaled_square_problem(), two_nodes(0.5, 0.5),
+                                 tw.IterationConfig(max_iterations=5))
+        assert result.status == "diverged"
+        assert result.trace.iteration_count == 0
+        assert result.trace.final_residual == pytest.approx(0.25 * np.sqrt(2.0), rel=1e-15)
+
+    def test_stalled_line_search_ends_newton_at_max_iterations(self):
+        # with the Jacobian's sign flipped, the Newton direction climbs ||G||
+        result = tw.newton_solve(scaled_square_problem(jac_sign=-1.0), two_nodes(2.0, 2.0),
+                                 tw.IterationConfig(max_iterations=5))
+        assert result.status == "max_iterations"
+        assert result.trace.iteration_count == 0
+        assert result.trace.final_residual == pytest.approx(2.0 * np.sqrt(2.0), rel=1e-15)
+
+
 class TestResidual:
     def test_exact_profile_floor(self, soliton_problem, soliton_exact):
         assert soliton_problem.pair(soliton_exact).residual <= 1e-8
