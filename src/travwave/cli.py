@@ -516,7 +516,9 @@ COMMANDS = {
 }
 
 
+@functools.lru_cache(maxsize=1)
 def make_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="travwave",
         description="Stabilized fixed-point traveling-wave computations and spectral diagnostics",

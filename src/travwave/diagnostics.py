@@ -41,12 +41,14 @@ def s_operator(problem: ProblemModel, u_star: Field) -> tuple[Callable, VectorSp
 
 def f_operator(problem: ProblemModel, factor: StabilizingFactor,
                u_star: Field) -> tuple[Callable, VectorSpace]:
-    """Vector-level oracle for F'(u*); the factor gradient is frozen at u*."""
+    """Vector-level oracle for F'(u*); the factor gradient is frozen at u*.
+    Each action evaluates N'(u*) v once, for S v and for the gradient."""
     space = problem.linearization_space()
     grad = factor.gradient(u_star)
 
     def action(f: Field) -> Field:
-        return iteration_matrix_action(problem, u_star, f) + grad(f) * u_star
+        jNv = problem.jacN_action(u_star, f)
+        return problem.solve_L(jNv) + grad(f, jNv) * u_star
 
     return space.wrap(action), space
 
@@ -120,8 +122,11 @@ def top_eigenvalues(action: Callable[[np.ndarray], np.ndarray], dimension: int, 
     residuals = np.empty(len(eigvals))
     for i, lam in enumerate(eigvals):
         v = eigvecs[:, i]
-        # the oracle acts on real vectors; split the complex eigenvector
-        av = action(np.ascontiguousarray(v.real)) + 1j * action(np.ascontiguousarray(v.imag))
+        # the oracle acts on real vectors; split a complex eigenvector, and
+        # skip the action on the imaginary part of a real one (it is 0)
+        av = action(np.ascontiguousarray(v.real))
+        if v.imag.any():
+            av = av + 1j * action(np.ascontiguousarray(v.imag))
         residuals[i] = np.linalg.norm(av - lam * v) / np.linalg.norm(v)
 
     near_unit = np.abs(np.abs(eigvals) - 1.0) <= UNIT_TOL

@@ -98,8 +98,8 @@ class StabilizingFactor:
     """s(u) = (A(u)/B(u))^gamma, its homogeneity degree q, and its gradient.
 
     A family supplies `_parts(pair) -> (A(u), B(u))` and `_derivatives(pair)`,
-    the functional v -> (A'(u) v, B'(u) v); the power and the quotient rule
-    are applied here, once for every family.
+    the functional (v, jNv) -> (A'(u) v, B'(u) v), where jNv is N'(u) v; the
+    power and the quotient rule are applied here, once for every family.
     """
 
     descriptor: str
@@ -107,22 +107,23 @@ class StabilizingFactor:
     degree: float  # q
     problem: ProblemModel
     _parts: Callable[[OperatorPair], tuple[float, float]]
-    _derivatives: Callable[[OperatorPair], Callable[[Field], tuple[float, float]]]
+    _derivatives: Callable[[OperatorPair], Callable[[Field, Field], tuple[float, float]]]
 
     def __call__(self, u: Field, pair: OperatorPair | None = None) -> float:
         """s(u); `pair` is a precomputed `problem.pair(u)` to evaluate from."""
         num, den = self._parts(self.problem.pair(u) if pair is None else pair)
         return _power(num / den, self.gamma)
 
-    def gradient(self, u: Field) -> Callable[[Field], float]:
-        """Directional-derivative functional v -> grad s(u) . v."""
+    def gradient(self, u: Field) -> Callable[..., float]:
+        """Directional-derivative functional v -> grad s(u) . v; pass
+        `jNv = N'(u) v` when it is already computed, as the F' action does."""
         pair = self.problem.pair(u)
         num, den = self._parts(pair)
         derivatives = self._derivatives(pair)
         s_scale = self.gamma * _power(num / den, self.gamma - 1.0)
 
-        def directional(v: Field) -> float:
-            dnum, dden = derivatives(v)
+        def directional(v: Field, jNv: Field | None = None) -> float:
+            dnum, dden = derivatives(v, self.problem.jacN_action(u, v) if jNv is None else jNv)
             return s_scale * (dnum * den - num * dden) / den**2
 
         return directional
@@ -159,16 +160,15 @@ def inner_factor(f: str, gamma, problem: ProblemModel, allow_marginal: bool = Fa
             )
         return num, den
 
-    def derivatives(pair: OperatorPair) -> Callable[[Field], tuple[float, float]]:
+    def derivatives(pair: OperatorPair) -> Callable[[Field, Field], tuple[float, float]]:
         u = pair.u
         Lu, Nu = pair.field(pair.Lc), pair.field(pair.Nc)
         fu = u.with_values(fmap.apply(u.values))
+        Lfu = problem.apply_L(fu)  # L is self-adjoint: Re<L v, f(u)> = Re<v, L f(u)>
 
-        def directional(v: Field) -> tuple[float, float]:
-            Lv = problem.apply_L(v)
+        def directional(v: Field, jNv: Field) -> tuple[float, float]:
             dfv = u.with_values(fmap.jac(u.values, v.values))
-            jNv = problem.jacN_action(u, v)
-            return (real_inner(Lv, fu) + real_inner(Lu, dfv),
+            return (real_inner(v, Lfu) + real_inner(Lu, dfv),
                     real_inner(jNv, fu) + real_inner(Nu, dfv))
 
         return directional
@@ -196,20 +196,23 @@ def norm_factor(r, gamma, problem: ProblemModel, allow_marginal: bool = False) -
             raise DegenerateDenominatorError(f"||N(u)||_{r_name} = 0 for {descriptor}")
         return vec_norm(Lu), den
 
-    def norm_gradient(x: np.ndarray) -> np.ndarray:
+    def norm_gradient(field: Field) -> Field:
         """g with d||x||_r = Re <g, dx>: unit(x) (|x|/||x||_r)^(r-1), where
         unit(0) = 0 (so r = 1 gives sign(x)); for r = inf, unit(x) at the first
         maximum of |x|."""
+        x = field.values.ravel()
         modulus = np.abs(x)
         unit = np.divide(x, modulus, out=np.zeros_like(x), where=modulus > 0.0)
         if np.isinf(r_val):
-            return unit * (np.arange(x.size) == np.argmax(modulus))
-        return unit * (modulus / vec_norm(x)) ** (r_val - 1.0)
+            g = unit * (np.arange(x.size) == np.argmax(modulus))
+        else:
+            g = unit * (modulus / vec_norm(x)) ** (r_val - 1.0)
+        return field.with_values(g.reshape(field.values.shape))
 
-    def derivatives(pair: OperatorPair) -> Callable[[Field], tuple[float, float]]:
-        gL, gN = (norm_gradient(pair.field(c).values.ravel()) for c in (pair.Lc, pair.Nc))
-        return lambda v: (float(np.real(np.vdot(gL, problem.apply_L(v).values.ravel()))),
-                          float(np.real(np.vdot(gN, problem.jacN_action(pair.u, v).values.ravel()))))
+    def derivatives(pair: OperatorPair) -> Callable[[Field, Field], tuple[float, float]]:
+        gL, gN = (norm_gradient(pair.field(c)) for c in (pair.Lc, pair.Nc))
+        LgL = problem.apply_L(gL)  # L is self-adjoint: Re<g, L v> = Re<L g, v>
+        return lambda v, jNv: (real_inner(LgL, v), real_inner(gN, jNv))
 
     return StabilizingFactor(descriptor, gamma, q, problem, parts, derivatives)
 

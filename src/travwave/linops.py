@@ -40,7 +40,10 @@ def realified_space(grid: Grid) -> VectorSpace:
         return np.concatenate([flat.real, flat.imag])
 
     def from_vec(v: np.ndarray) -> Field:
-        return Field(grid, (v[:n] + 1j * v[n:]).reshape(shape))
+        values = np.empty(shape, dtype=np.complex128)
+        values.real = v[:n].reshape(shape)
+        values.imag = v[n:].reshape(shape)
+        return Field(grid, values)
 
     return VectorSpace(dim=2 * n, to_vector=to_vec, from_vector=from_vec)
 

@@ -50,10 +50,16 @@ class FourierSymbol:
         free = True if self.pinned is None else ~self.pinned
         return np.divide(1.0, self.symbol, out=np.zeros_like(self.symbol), where=free)
 
+    # On a 1-D grid the 1-D transforms give the same bits without the n-D
+    # argument handling.
     def forward(self, values: np.ndarray) -> np.ndarray:
+        if len(self.shape) == 1:
+            return np.fft.rfft(values) if self.real else np.fft.fft(values)
         return np.fft.rfftn(values) if self.real else np.fft.fftn(values)
 
     def inverse(self, coeffs: np.ndarray) -> np.ndarray:
+        if len(self.shape) == 1:
+            return np.fft.irfft(coeffs, n=self.shape[0]) if self.real else np.fft.ifft(coeffs)
         if self.real:
             return np.fft.irfftn(coeffs, s=self.shape, axes=range(len(self.shape)))
         return np.fft.ifftn(coeffs)
@@ -78,7 +84,10 @@ class FourierSymbol:
 class ProblemModel:
     """Homogeneous system L u = N(u) on a periodic grid.
 
-    `jacN_action(u, v)` is the (real-linear) directional derivative N'(u)v.
+    `apply_L` is self-adjoint in the real pairing Re<.,.> over node values,
+    Re<L v, w> = Re<v, L w>; the factor gradients rely on it to apply L once
+    per state instead of once per direction.  `jacN_action(u, v)` is the
+    (real-linear) directional derivative N'(u)v.
     `fourier` describes the Fourier families in transform form; the
     stabilized loop then runs on their coefficients instead of calling the
     four operators.

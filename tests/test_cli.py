@@ -19,6 +19,7 @@ from travwave.cli import (
     build_problem,
     load_recipe,
     main,
+    make_parser,
     summary_payload,
     write_cross_sections,
     write_profile_csv,
@@ -726,3 +727,31 @@ class TestColdStart:
         assert report["before"] == []
         assert "scipy.sparse.linalg" in report["after"]
         assert json.loads((tmp_path / "cont" / "continuation.json").read_text())["completed"]
+
+
+class TestParser:
+    """One parser serves every `main` call of a process."""
+
+    def test_parser_is_built_once(self):
+        assert make_parser() is make_parser()
+
+    def test_consecutive_commands_parse_independently(self, tmp_path):
+        # --out of the first call must not reach the second, which names no --out
+        spectrum_out = tmp_path / "spectrum"
+        assert main(["spectrum", "--recipe", "table2", "--out", str(spectrum_out)]) == 0
+        solve_out = tmp_path / "solve"
+        assert main(["solve", "--config", write_config(tmp_path, soliton_config(solve_out))]) == 0
+        assert sorted(p.name for p in spectrum_out.iterdir()) == [
+            "hypothesis_report.json", "spectrum_F.json", "spectrum_S.json"]
+        assert (solve_out / "summary.json").exists()
+        assert make_parser().parse_args(["solve", "--config", "c.json"]).out is None
+
+    @pytest.mark.parametrize("argv", [[], ["spectrum"], ["nope", "--recipe", "table2"],
+                                      ["spectrum", "--recipe", "table2", "--config", "c.json"]])
+    def test_bad_argv_exits_2_with_usage(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage: travwave" in capsys.readouterr().err
+        # the cached parser still serves the next call
+        assert make_parser().parse_args(["spectrum", "--recipe", "table2"]).recipe == "table2"

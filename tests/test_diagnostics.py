@@ -6,6 +6,7 @@ import scipy.linalg
 
 import travwave as tw
 from travwave.diagnostics import f_operator, hypothesis_verdicts, s_operator
+from travwave.factors import F_MAPS
 from travwave.linops import assemble_matrix, real_inner
 from travwave.spectral import Field, Grid1D
 
@@ -60,6 +61,64 @@ class TestTopEigenvalues:
         problem, u_star, _ = synthetic_diagonal
         with pytest.raises(ValueError, match="dimension - 1 = 7"):
             tw.iteration_matrix_spectrum(problem, u_star, k)
+
+
+def residual_action_count(monkeypatch, action, dimension, k):
+    """The report of top_eigenvalues and the number of actions it took after
+    ARPACK returned, i.e. to measure the eigen-residuals."""
+    calls = [0]
+    arpack_calls = []
+
+    def counting(v):
+        calls[0] += 1
+        return action(v)
+
+    eigs = scipy.sparse.linalg.eigs
+
+    def marked_eigs(*args, **kwargs):
+        out = eigs(*args, **kwargs)
+        arpack_calls.append(calls[0])
+        return out
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", marked_eigs)
+    report = tw.top_eigenvalues(counting, dimension, k)
+    return report, calls[0] - arpack_calls[0]
+
+
+def two_action_residuals(action, report):
+    """||A v - lambda v|| / ||v||, always acting on both parts of v."""
+    out = []
+    for lam, v in zip(report.eigenvalues, report.eigenvectors.T):
+        av = action(np.ascontiguousarray(v.real)) + 1j * action(np.ascontiguousarray(v.imag))
+        out.append(np.linalg.norm(av - lam * v) / np.linalg.norm(v))
+    return np.array(out)
+
+
+class TestResidualActions:
+    def test_one_action_per_real_eigenvector(self, synthetic_diagonal, monkeypatch):
+        problem, u_star, _ = synthetic_diagonal
+        action, space = s_operator(problem, u_star)
+        report, count = residual_action_count(monkeypatch, action, space.dim, 6)
+        assert not np.any(report.eigenvectors.imag)
+        assert count == 6
+        assert np.array_equal(report.residuals, two_action_residuals(action, report))
+
+    def test_two_actions_per_complex_eigenvector(self, monkeypatch):
+        # eigenvalues 2, 0.9 +- 0.6i, 0.5, 0.3, ... in a random orthonormal basis
+        blocks = np.diag([2.0, 0.0, 0.0, 0.5, 0.3, 0.2, 0.1, 0.05, 0.02, 0.01])
+        blocks[1:3, 1:3] = [[0.9, -0.6], [0.6, 0.9]]
+        q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(10, 10)))
+        matrix = q @ blocks @ q.T
+
+        def action(v):
+            return matrix @ v
+
+        report, count = residual_action_count(monkeypatch, action, 10, 4)
+        complex_vectors = np.count_nonzero(np.any(report.eigenvectors.imag, axis=0))
+        assert complex_vectors == 2
+        assert count == 4 + complex_vectors
+        assert np.array_equal(report.residuals, two_action_residuals(action, report))
+        assert np.max(report.residuals) <= 1e-12
 
 
 # (problem fixture, state fixture) of the three bundled spectrum recipes
@@ -123,6 +182,64 @@ class TestJacobianAction:
         vals = spec.eigenvalues.real
         assert vals[0] == pytest.approx(8.0032, abs=0.05)
         assert vals[1] == pytest.approx(-5.6760, abs=0.05)
+
+
+FUSED_DESCRIPTORS = ("petviashvili:optimal", "inner:f=square:optimal", "inner:f=cube:optimal",
+                     "norm:1:optimal", "norm:2:optimal", "norm:inf:optimal")
+
+
+def literal_f_action(problem, factor, u, v):
+    """S v + (grad s(u) . v) u, with grad s(u) . v from the quotient rule on
+    A'v and B'v written out with apply_L(v) and jacN_action(u, v)."""
+    family, *rest = factor.descriptor.split(":")
+    Lu, Nu = problem.apply_L(u), problem.apply_N(u)
+    Lv, jNv = problem.apply_L(v), problem.jacN_action(u, v)
+    if family == "norm":
+        r = np.inf if rest[0] == "inf" else float(rest[0])
+
+        def norm_and_gradient(x):
+            x = x.values.ravel()
+            modulus = np.abs(x)
+            norm = np.linalg.norm(x, ord=r)
+            unit = np.divide(x, modulus, out=np.zeros_like(x), where=modulus > 0.0)
+            if np.isinf(r):
+                return norm, unit * (np.arange(x.size) == np.argmax(modulus))
+            return norm, unit * (modulus / norm) ** (r - 1.0)
+
+        (A, gA), (B, gB) = norm_and_gradient(Lu), norm_and_gradient(Nu)
+        dA = np.vdot(gA, Lv.values.ravel()).real
+        dB = np.vdot(gB, jNv.values.ravel()).real
+    else:
+        fmap = F_MAPS["identity" if family == "petviashvili" else rest[0][2:]]
+        fu = u.with_values(fmap.apply(u.values))
+        dfv = u.with_values(fmap.jac(u.values, v.values))
+        A, B = real_inner(Lu, fu), real_inner(Nu, fu)
+        dA = real_inner(Lv, fu) + real_inner(Lu, dfv)
+        dB = real_inner(jNv, fu) + real_inner(Nu, dfv)
+    gamma = factor.gamma
+    gradient = gamma * (A / B) ** (gamma - 1.0) * (dA * B - A * dB) / B**2
+    return problem.solve_L(jNv) + gradient * u
+
+
+class TestFusedJacobianAction:
+    """The F' oracle shares N'(u*) v and moves L onto the state's side of the
+    pairing; it must still be the literal formula."""
+
+    @pytest.mark.parametrize("descriptor", FUSED_DESCRIPTORS)
+    @pytest.mark.parametrize("recipe", ["table2", "table1_col12"])
+    def test_matches_literal_formula(self, request, recipe, descriptor):
+        problem_name, state_name = RECIPE_STATES[recipe]
+        problem = request.getfixturevalue(problem_name)
+        state = request.getfixturevalue(state_name)
+        u_star = getattr(state, "final", state)
+        factor = tw.from_descriptor(descriptor, problem)
+        action, space = f_operator(problem, factor, u_star)
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            x = rng.normal(size=space.dim)
+            literal = space.to_vector(literal_f_action(problem, factor, u_star,
+                                                       space.from_vector(x)))
+            assert np.linalg.norm(action(x) - literal) <= 1e-12 * np.linalg.norm(literal)
 
 
 class TestSpectrumShift:

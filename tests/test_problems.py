@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 import travwave as tw
-from travwave.problems import SingularOperatorError
+from travwave.linops import real_inner
+from travwave.problems import FourierSymbol, SingularOperatorError
 from travwave.spectral import Field, Grid1D, Grid2D
+
+from conftest import make_synthetic_diagonal
 
 
 def lump_problem(l=8 * np.pi, m=64, gamma_cap=0.5, cs=1.0):
@@ -76,6 +79,55 @@ class TestModelContracts:
                                (soliton_problem, soliton_exact)):
             Su = problem.solve_L(problem.jacN_action(state, state))
             assert (Su - problem.degree * state).norm <= 1e-6 * state.norm
+
+
+# every family's L, by name: the ground state with both signs and both table1
+# potentials, the soliton, the lump with and without Gamma (its (0,0) mode
+# pinned), and the synthetic diagonal problem
+SELF_ADJOINT_CASES = {
+    "ground_state_sech2_minus": lambda g: tw.nls_ground_state(tw.sech2_potential(g), 1.3, g),
+    "ground_state_sech2_plus": lambda g: tw.nls_ground_state(tw.sech2_potential(g), 1.3, g, sign=1),
+    "ground_state_double_well_minus": lambda g: tw.nls_ground_state(
+        tw.double_well_potential(g), 1.0, g),
+    "ground_state_double_well_plus": lambda g: tw.nls_ground_state(
+        tw.double_well_potential(g), 1.0, g, sign=1),
+    "soliton": lambda g: tw.nls_soliton(tw.SolitonParameters(1.0, 1.0, 1.0), g),
+    "lump_gamma_0": lambda g: lump_problem(gamma_cap=0.0),
+    "lump_gamma_0.5": lambda g: lump_problem(gamma_cap=0.5),
+    "synthetic_diagonal": lambda g: make_synthetic_diagonal()[0],
+}
+
+
+class TestSelfAdjointL:
+    @pytest.mark.parametrize("name", sorted(SELF_ADJOINT_CASES))
+    def test_apply_L_is_self_adjoint_in_the_real_pairing(self, grid_1d, name):
+        problem = SELF_ADJOINT_CASES[name](grid_1d)
+        for seed in range(3):
+            v = random_field(problem, seed=50 + 2 * seed)
+            w = random_field(problem, seed=51 + 2 * seed)
+            Lv = problem.apply_L(v)
+            gap = abs(real_inner(Lv, w) - real_inner(v, problem.apply_L(w)))
+            assert gap <= 1e-12 * Lv.norm * w.norm
+
+
+class TestFourierSymbolTransforms:
+    """On a 1-D grid forward/inverse use the 1-D transforms, bit for bit the n-D ones."""
+
+    def test_real_grid(self):
+        m = 64
+        fs = FourierSymbol((m,), True, np.ones(m // 2 + 1), None, lambda v: v, lambda u, w: w)
+        values = np.random.default_rng(0).normal(size=m)
+        coeffs = np.fft.rfftn(values)
+        assert np.array_equal(fs.forward(values), coeffs)
+        assert np.array_equal(fs.inverse(coeffs), np.fft.irfftn(coeffs, s=(m,), axes=range(1)))
+
+    def test_complex_grid(self, soliton_problem):
+        fs = soliton_problem.fourier
+        rng = np.random.default_rng(1)
+        values = rng.normal(size=fs.shape) + 1j * rng.normal(size=fs.shape)
+        coeffs = np.fft.fftn(values)
+        assert np.array_equal(fs.forward(values), coeffs)
+        assert np.array_equal(fs.inverse(coeffs), np.fft.ifftn(coeffs))
 
 
 class TestGroundState:
