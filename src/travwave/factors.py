@@ -114,16 +114,16 @@ class StabilizingFactor:
         num, den = self._parts(self.problem.pair(u) if pair is None else pair)
         return _power(num / den, self.gamma)
 
-    def gradient(self, u: Field) -> Callable[..., float]:
-        """Directional-derivative functional v -> grad s(u) . v; pass
-        `jNv = N'(u) v` when it is already computed, as the F' action does."""
+    def gradient(self, u: Field) -> Callable[[Field, Field], float]:
+        """Directional-derivative functional (v, jNv) -> grad s(u) . v, where
+        jNv = N'(u) v is computed by the caller (the F' action shares it)."""
         pair = self.problem.pair(u)
         num, den = self._parts(pair)
         derivatives = self._derivatives(pair)
         s_scale = self.gamma * _power(num / den, self.gamma - 1.0)
 
-        def directional(v: Field, jNv: Field | None = None) -> float:
-            dnum, dden = derivatives(v, self.problem.jacN_action(u, v) if jNv is None else jNv)
+        def directional(v: Field, jNv: Field) -> float:
+            dnum, dden = derivatives(v, jNv)
             return s_scale * (dnum * den - num * dden) / den**2
 
         return directional

@@ -50,16 +50,10 @@ class FourierSymbol:
         free = True if self.pinned is None else ~self.pinned
         return np.divide(1.0, self.symbol, out=np.zeros_like(self.symbol), where=free)
 
-    # On a 1-D grid the 1-D transforms give the same bits without the n-D
-    # argument handling.
     def forward(self, values: np.ndarray) -> np.ndarray:
-        if len(self.shape) == 1:
-            return np.fft.rfft(values) if self.real else np.fft.fft(values)
         return np.fft.rfftn(values) if self.real else np.fft.fftn(values)
 
     def inverse(self, coeffs: np.ndarray) -> np.ndarray:
-        if len(self.shape) == 1:
-            return np.fft.irfft(coeffs, n=self.shape[0]) if self.real else np.fft.ifft(coeffs)
         if self.real:
             return np.fft.irfftn(coeffs, s=self.shape, axes=range(len(self.shape)))
         return np.fft.ifftn(coeffs)

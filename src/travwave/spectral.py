@@ -80,9 +80,6 @@ class Grid2D:
 
 Grid = Grid1D | Grid2D
 
-# dtypes a Field keeps as given, without a conversion
-_NATIVE_DTYPES = (np.dtype(np.float64), np.dtype(np.complex128))
-
 
 @dataclass(frozen=True)
 class Field:
@@ -97,14 +94,12 @@ class Field:
     values: np.ndarray
 
     def __post_init__(self):
-        v = self.values
-        if type(v) is not np.ndarray or v.dtype not in _NATIVE_DTYPES:
-            v = np.asarray(v)
-            if not np.iscomplexobj(v):
-                v = v.astype(np.float64, copy=False)
-            object.__setattr__(self, "values", v)
+        v = np.asarray(self.values)
         if v.shape != self.grid.shape:
             raise ValueError(f"values shape {v.shape} does not match grid shape {self.grid.shape}")
+        if not np.iscomplexobj(v):
+            v = v.astype(np.float64, copy=False)
+        object.__setattr__(self, "values", v)
 
     @property
     def is_complex(self) -> bool:

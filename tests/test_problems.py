@@ -3,7 +3,7 @@ import pytest
 
 import travwave as tw
 from travwave.linops import real_inner
-from travwave.problems import FourierSymbol, SingularOperatorError
+from travwave.problems import SingularOperatorError
 from travwave.spectral import Field, Grid1D, Grid2D
 
 from conftest import make_synthetic_diagonal
@@ -108,26 +108,6 @@ class TestSelfAdjointL:
             Lv = problem.apply_L(v)
             gap = abs(real_inner(Lv, w) - real_inner(v, problem.apply_L(w)))
             assert gap <= 1e-12 * Lv.norm * w.norm
-
-
-class TestFourierSymbolTransforms:
-    """On a 1-D grid forward/inverse use the 1-D transforms, bit for bit the n-D ones."""
-
-    def test_real_grid(self):
-        m = 64
-        fs = FourierSymbol((m,), True, np.ones(m // 2 + 1), None, lambda v: v, lambda u, w: w)
-        values = np.random.default_rng(0).normal(size=m)
-        coeffs = np.fft.rfftn(values)
-        assert np.array_equal(fs.forward(values), coeffs)
-        assert np.array_equal(fs.inverse(coeffs), np.fft.irfftn(coeffs, s=(m,), axes=range(1)))
-
-    def test_complex_grid(self, soliton_problem):
-        fs = soliton_problem.fourier
-        rng = np.random.default_rng(1)
-        values = rng.normal(size=fs.shape) + 1j * rng.normal(size=fs.shape)
-        coeffs = np.fft.fftn(values)
-        assert np.array_equal(fs.forward(values), coeffs)
-        assert np.array_equal(fs.inverse(coeffs), np.fft.ifftn(coeffs))
 
 
 class TestGroundState:
