@@ -481,25 +481,24 @@ def cmd_orbital(cfg: dict, outdir: Path) -> int:
     listed = _read(cfg.get("orbital"), "orbital", {"experiments": list[dict]})["experiments"]
     if not listed:
         raise ConfigError("orbital.experiments: expected at least one experiment")
-    runs = [{"eps1": 0.0, "eps2": 0.0, **_read(exp, f"orbital.experiments[{i}]", {}, AMPLITUDES)}
-            for i, exp in enumerate(listed)]
+    runs = {}
+    for i, exp in enumerate(listed):
+        run = {"eps1": 0.0, "eps2": 0.0, **_read(exp, f"orbital.experiments[{i}]", {}, AMPLITUDES)}
+        name = f"run_eps1_{run['eps1']:g}_eps2_{run['eps2']:g}"
+        if name in runs:
+            raise ConfigError(f"orbital.experiments[{runs[name][0]}] and orbital.experiments[{i}] "
+                              f"both write {name}: their eps values print alike under %g")
+        runs[name] = i, run
 
-    params = problems.SolitonParameters(**problem.params)
     index = []
-    for run in runs:
-        eps1, eps2 = run["eps1"], run["eps2"]
-        record = {"kind": "exact_perturbed", **run}
+    for name, (_, run) in runs.items():
         result = _run_engine(engine, problem, factor, _perturbed_exact(problem, **run), itconfig)
-        sub = outdir / f"run_eps1_{eps1:g}_eps2_{eps2:g}"
+        sub = outdir / name
         sub.mkdir(parents=True, exist_ok=True)
-        _solve_outputs(sub, record, problem, factor, result, engine, itconfig)
-        fit = diagnostics.orbit_match(result.final, params)
-        payload = fit.to_json_dict()
-        payload["eps1"], payload["eps2"] = eps1, eps2
-        payload["status"] = result.status
-        _json_dump(sub / "orbitfit.json", payload)
-        index.append({"directory": sub.name, "eps1": eps1, "eps2": eps2,
-                      "status": result.status})
+        _solve_outputs(sub, {"kind": "exact_perturbed", **run}, problem, factor, result, engine, itconfig)
+        fit = diagnostics.orbit_match(result.final, problem.exact_solution)
+        _json_dump(sub / "orbitfit.json", {**fit.to_json_dict(), **run, "status": result.status})
+        index.append({"directory": name, **run, "status": result.status})
     _json_dump(outdir / "orbital.json", {"experiments": index})
     return 0
 

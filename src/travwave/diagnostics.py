@@ -10,14 +10,14 @@ fit, orbit-parameter estimation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .factors import StabilizingFactor
 from .linops import VectorSpace, real_inner
-from .problems import ProblemModel, SolitonParameters, exact_soliton_profile
+from .problems import ProblemModel
 from .spectral import Field, derivative
 
 UNIT_TOL = 1e-4
@@ -329,7 +329,7 @@ def decompose_error(e: Field, u_star: Field, generators: list[Field]) -> ErrorDe
 # orbital identification
 
 
-@dataclass
+@dataclass(frozen=True)
 class OrbitFit:
     slope: float | None = None
     intercept: float | None = None
@@ -341,16 +341,10 @@ class OrbitFit:
     window: tuple[int, int] | None = None
 
     def to_json_dict(self) -> dict:
-        out = {}
-        for key in ("slope", "intercept", "intercept_mod_2pi", "x0", "theta0",
-                    "sup_distance", "modulus_sup_distance"):
-            val = getattr(self, key)
-            out[key] = float(val) if val is not None else None
-        out["window"] = list(self.window) if self.window is not None else None
-        return out
+        return asdict(self)
 
 
-def _default_window(modulus: np.ndarray) -> np.ndarray:
+def _default_window(modulus: np.ndarray) -> tuple[int, int]:
     """Contiguous node range around the modulus peak where |U| >= 0.05 max."""
     peak = int(np.argmax(modulus))
     keep = modulus >= 0.05 * modulus[peak]
@@ -360,26 +354,27 @@ def _default_window(modulus: np.ndarray) -> np.ndarray:
     hi = peak
     while hi < len(modulus) - 1 and keep[hi + 1]:
         hi += 1
-    return np.arange(lo, hi + 1)
+    return lo, hi + 1
 
 
-def fit_phase_line(U_f: Field, window=None) -> OrbitFit:
+def fit_phase_line(U_f: Field, window: tuple[int, int] | None = None) -> OrbitFit:
     """Least-squares line through the unwrapped phase of a 1D complex field.
 
     The phase is unwrapped by cumulative 2-pi jump correction scanning
     outward from the modulus peak, then fit as y = slope*x + intercept on the
-    window (default: nodes with |U| >= 0.05 max|U| around the peak).
+    nodes start <= j < stop of window = (start, stop), 0 <= start < stop <= m
+    on m nodes (default: nodes with |U| >= 0.05 max|U| around the peak).
     """
     if np.ndim(U_f.values) != 1:
         raise ValueError("phase-line fitting is defined for 1D fields")
     vals = U_f.values
     modulus = np.abs(vals)
-    if window is None:
-        idx = _default_window(modulus)
-    else:
-        idx = np.arange(window[0], window[1]) if isinstance(window, tuple) else np.asarray(window)
-    if idx.size < 8:
-        raise ValueError(f"phase-fit window has {idx.size} nodes; need at least 8")
+    start, stop = _default_window(modulus) if window is None else window
+    if not 0 <= start < stop <= len(vals):
+        raise ValueError(f"phase-fit window {window} must satisfy 0 <= start < stop <= {len(vals)}")
+    if stop - start < 8:
+        raise ValueError(f"phase-fit window has {stop - start} nodes; need at least 8")
+    idx = np.arange(start, stop)
 
     peak = idx[np.argmax(modulus[idx])]
     phase = np.angle(vals)
@@ -395,50 +390,27 @@ def fit_phase_line(U_f: Field, window=None) -> OrbitFit:
         slope=float(slope),
         intercept=float(intercept),
         intercept_mod_2pi=float(intercept % (2.0 * np.pi)),
-        window=(int(idx[0]), int(idx[-1]) + 1),
+        window=(int(start), int(stop)),
     )
 
 
-def orbit_match(U_f: Field, params: SolitonParameters) -> OrbitFit:
-    """Estimate group parameters (x0, theta0) of the orbit element closest
-    to U_f, in the group-action convention u(x) -> e^{i theta0} u(x + x0).
+def orbit_match(U_f: Field, exact: Callable[..., Field]) -> OrbitFit:
+    """Group parameters (x0, theta0) of the orbit element that U_f matches, in
+    the group-action convention u(x) -> e^{i theta0} u(x + x0), where
+    exact(x0, theta0) returns that element.
 
-    x0 comes from modulus cross-correlation refined by a bounded scalar
-    minimization of the modulus misfit; theta0 is the phase intercept of
-    U_f against the x0-shifted profile.  Reports the sup-distance and
-    modulus sup-distance to the matched element.
+    On the orbit |U_f| is a translate of |exact()|, so by the shift theorem the
+    first Fourier modes give x0 = angle(|U_f|^_1 / |exact()|^_1) / k1, unique
+    in (-l, l]; theta0 is the phase of <exact(x0), U_f>.  Reports the
+    sup-distance and modulus sup-distance to the matched element.
     """
-    grid = U_f.grid
     modulus = np.abs(U_f.values)
     if modulus.max() == 0.0:
         raise ValueError("cannot match a zero field: no modulus peak")
-    base = replace(params, x0=0.0, theta0=0.0)
-
-    ref_mod = np.abs(exact_soliton_profile(base, grid).values)
-    corr = np.real(np.fft.ifft(np.fft.fft(modulus) * np.conj(np.fft.fft(ref_mod))))
-    lag = int(np.argmax(corr))
-    m = grid.point_count
-    if lag >= m // 2:
-        lag -= m
-    h = grid.spacing
-    x0_guess = -lag * h
-
-    def modulus_misfit(x0: float) -> float:
-        prof = exact_soliton_profile(replace(base, x0=x0), grid)
-        return float(np.linalg.norm(modulus - np.abs(prof.values)))
-
-    from scipy.optimize import minimize_scalar
-    res = minimize_scalar(modulus_misfit, bounds=(x0_guess - 2 * h, x0_guess + 2 * h),
-                          method="bounded", options={"xatol": 1e-13})
-    x0 = float(res.x)
-
-    shifted = exact_soliton_profile(replace(base, x0=x0), grid)
-    theta0 = float(np.angle(np.vdot(shifted.values, U_f.values)))
-    matched = exact_soliton_profile(replace(base, x0=x0, theta0=theta0), grid)
-
-    fit = fit_phase_line(U_f)
-    fit.x0 = x0
-    fit.theta0 = theta0
-    fit.sup_distance = float(np.max(np.abs(U_f.values - matched.values)))
-    fit.modulus_sup_distance = float(np.max(np.abs(modulus - np.abs(matched.values))))
-    return fit
+    ratio = np.fft.fft(modulus)[1] / np.fft.fft(np.abs(exact().values))[1]
+    x0 = float(np.angle(ratio) / U_f.grid.wavenumbers[1])
+    theta0 = float(np.angle(np.vdot(exact(x0).values, U_f.values)))
+    matched = exact(x0, theta0).values
+    return replace(fit_phase_line(U_f), x0=x0, theta0=theta0,
+                   sup_distance=float(np.max(np.abs(U_f.values - matched))),
+                   modulus_sup_distance=float(np.max(np.abs(modulus - np.abs(matched)))))

@@ -10,8 +10,8 @@ dense factorizations happen once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field, replace
-from functools import cached_property
+from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -82,6 +82,10 @@ class ProblemModel:
     Re<L v, w> = Re<v, L w>; the factor gradients rely on it to apply L once
     per state instead of once per direction.  `jacN_action(u, v)` is the
     (real-linear) directional derivative N'(u)v.
+    `exact_solution(x0=0.0, theta0=0.0)`, on a family with a closed-form
+    solution, returns the element e^{i theta0} u*(x + x0) of its symmetry
+    orbit; `exact_perturbed` seeds, `state: exact` spectra and
+    `diagnostics.orbit_match` take the solution from it alone.
     `fourier` describes the Fourier families in transform form; the
     stabilized loop then runs on their coefficients instead of calling the
     four operators.
@@ -171,17 +175,11 @@ class OperatorPair:
 
 @dataclass(frozen=True)
 class SolitonParameters:
-    """Parameters of the focusing-Schrodinger traveling profile.
-
-    x0 and theta0 are group parameters in the group-action sense
-    u(x) -> exp(i*theta0) * u(x + x0).
-    """
+    """Parameters of the focusing-Schrodinger traveling profile."""
 
     sigma: float
     lambda1: float
     lambda2: float
-    x0: float = 0.0
-    theta0: float = 0.0
 
     def __post_init__(self):
         if self.sigma <= 0:
@@ -271,16 +269,18 @@ def nls_ground_state(potential, mu: float, grid: Grid1D, sign: int = -1) -> Prob
     )
 
 
-def exact_soliton_profile(params: SolitonParameters, grid: Grid1D) -> Field:
-    """Closed-form profile e^{i*theta0} * rho(x + x0) * e^{i*theta(x + x0)}.
+def exact_soliton_profile(params: SolitonParameters, grid: Grid1D, x0: float = 0.0,
+                          theta0: float = 0.0) -> Field:
+    """Closed-form profile e^{i*theta0} * rho(x + x0) * e^{i*theta(x + x0)}, the
+    element of the orbit under the group action u(x) -> e^{i theta0} u(x + x0).
 
     rho(x) = (a(sigma+1))^{1/(2 sigma)} sech(sigma sqrt(a) x)^{1/sigma},
     theta(x) = (lambda2/2) x.
     """
     a, sig = params.a, params.sigma
-    xi = grid.nodes + params.x0
+    xi = grid.nodes + x0
     rho = (a * (sig + 1.0)) ** (1.0 / (2.0 * sig)) * sech(sig * np.sqrt(a) * xi) ** (1.0 / sig)
-    phase = 0.5 * params.lambda2 * xi + params.theta0
+    phase = 0.5 * params.lambda2 * xi + theta0
     return Field(grid, rho * np.exp(1j * phase))
 
 
@@ -303,18 +303,13 @@ def nls_soliton(params: SolitonParameters, grid: Grid1D) -> ProblemModel:
         return -(sig + 1.0) * au ** (2 * sig) * wv - sig * au ** (2 * sig - 2) * uv * uv * np.conj(wv)
 
     fourier = FourierSymbol(grid.shape, False, -(k**2) - params.lambda1 + params.lambda2 * k, None, g, g_jac)
-    base = replace(params, x0=0.0, theta0=0.0)
-
-    def exact(x0: float = 0.0, theta0: float = 0.0) -> Field:
-        return exact_soliton_profile(replace(base, x0=x0, theta0=theta0), grid)
-
     return _fourier_model(
         fourier,
         name="nls_soliton",
         degree=2.0 * sig + 1.0,
         grid=grid,
         is_complex=True,
-        exact_solution=exact,
+        exact_solution=partial(exact_soliton_profile, params, grid),
         symmetries=("gauge", "translation_x"),
         params={"sigma": sig, "lambda1": params.lambda1, "lambda2": params.lambda2},
     )

@@ -142,12 +142,12 @@ def test_criterion_05_antisymmetric_state_and_stabilized_failure(
               f"iteration leaves it (status {run.status}, departure {escaped:.2e})")
 
 
-def test_criterion_06_orbital_experiment_A(soliton_converged, soliton_params,
+def test_criterion_06_orbital_experiment_A(soliton_converged, soliton_problem,
                                            soliton_exact):
     tr = soliton_converged.trace
     assert tr.status == "converged"
     assert tr.final_residual <= 1e-12
-    fit = tw.orbit_match(soliton_converged.final, soliton_params)
+    fit = tw.orbit_match(soliton_converged.final, soliton_problem.exact_solution)
     assert fit.slope == pytest.approx(0.5, abs=2e-3)
     assert fit.intercept_mod_2pi == pytest.approx(0.2, abs=2e-2)
     mod_dist = np.max(np.abs(np.abs(soliton_converged.final.values)
@@ -157,7 +157,7 @@ def test_criterion_06_orbital_experiment_A(soliton_converged, soliton_params,
               f"{fit.intercept_mod_2pi:.5f}, modulus distance {mod_dist:.1e}")
 
 
-def test_criterion_07_orbital_experiment_B(soliton_problem, soliton_params, soliton_exact):
+def test_criterion_07_orbital_experiment_B(soliton_problem, soliton_exact):
     seed = (soliton_exact
             + 0.2 * soliton_exact.with_values(1j * soliton_exact.values)
             + 0.2 * tw.derivative(soliton_exact, 1))
@@ -168,7 +168,7 @@ def test_criterion_07_orbital_experiment_B(soliton_problem, soliton_params, soli
     assert tr.status == "converged"
     assert tr.iteration_count <= 50
     assert tr.final_residual <= 1e-11
-    fit = tw.orbit_match(result.final, soliton_params)
+    fit = tw.orbit_match(result.final, soliton_problem.exact_solution)
     combined = fit.theta0 + 0.5 * fit.x0
     assert combined == pytest.approx(0.3, abs=3e-2)
     report(7, f"eps=(0.2, 0.2): converged in {tr.iteration_count} iterations; "

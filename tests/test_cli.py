@@ -419,6 +419,16 @@ class TestOrbital:
         assert "orbital.experiments[1].eps2" in capsys.readouterr().err
         assert not list(out.glob("run_*"))
 
+    def test_experiments_sharing_a_directory_exit_2_before_any_run(self, tmp_path, capsys):
+        cfg = load_recipe("fig67")
+        cfg["orbital"]["experiments"].append({"eps1": 0.2000001, "eps2": 0.0})  # "%g" prints 0.2
+        out = tmp_path / "orb"
+        assert main(["orbital", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "orbital.experiments[0] and orbital.experiments[2]" in err
+        assert "run_eps1_0.2_eps2_0" in err
+        assert not list(out.glob("run_*"))
+
     def test_unknown_engine_exits_2(self, tmp_path, capsys):
         cfg = load_recipe("fig67")
         cfg["iteration"]["engine"] = "nwton"
@@ -700,22 +710,25 @@ from travwave.cli import main
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
-codes = [main(["continue", "--config", sys.argv[1]]), main(["solve", "--config", sys.argv[2]])]
+codes = [main([command, "--config", path])
+         for command, path in zip(["continue", "solve", "orbital"], sys.argv[1:4])]
 before = scipy_modules()
-codes.append(main(["spectrum", "--config", sys.argv[3]]))
+codes.append(main(["spectrum", "--config", sys.argv[4]]))
 print(json.dumps({"codes": codes, "before": before, "after": scipy_modules()}))
 """
 
 
 class TestColdStart:
     def test_fourier_runs_load_no_scipy(self, tmp_path):
-        """continue and a stabilized Fourier solve run on numpy alone; the
-        spectrum control shows the check sees a scipy import when one happens.
-        A fresh interpreter, since this one has loaded scipy already."""
+        """continue, a stabilized Fourier solve and orbital run on numpy alone;
+        the spectrum control shows the check sees a scipy import when one
+        happens.  A fresh interpreter, since this one has loaded scipy already."""
+        orbital_cfg = soliton_config(tmp_path / "orb", orbital={"experiments": [{"eps1": 0.2}]})
         spectrum_cfg = soliton_config(tmp_path / "spec")
         spectrum_cfg["diagnostics"] = {"spectrum_k": 6, "state": "exact"}
         paths = [write_config(tmp_path, lump_config(tmp_path / "cont", points=32), "cont.json"),
                  write_config(tmp_path, soliton_config(tmp_path / "solve"), "solve.json"),
+                 write_config(tmp_path, orbital_cfg, "orb.json"),
                  write_config(tmp_path, spectrum_cfg, "spec.json")]
         src = str(Path(tw.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -723,7 +736,7 @@ class TestColdStart:
         proc = subprocess.run([sys.executable, "-c", FRESH_RUNS, *paths], env=env,
                               capture_output=True, text=True, check=True, timeout=300)
         report = json.loads(proc.stdout.splitlines()[-1])
-        assert report["codes"] == [0, 0, 0]
+        assert report["codes"] == [0, 0, 0, 0]
         assert report["before"] == []
         assert "scipy.sparse.linalg" in report["after"]
         assert json.loads((tmp_path / "cont" / "continuation.json").read_text())["completed"]

@@ -435,8 +435,10 @@ class TestPhaseLine:
         assert dist_to_zero <= 1e-10
 
     def test_window_too_small_rejected(self, soliton_exact):
-        with pytest.raises(ValueError):
-            tw.fit_phase_line(soliton_exact, window=(10, 14))
+        # too few nodes; past the right end; a negative start, which would wrap
+        for window in [(10, 14), (500, 600), (-20, 30)]:
+            with pytest.raises(ValueError):
+                tw.fit_phase_line(soliton_exact, window=window)
 
     def test_gauge_rotated_profile_intercept(self, soliton_problem):
         rotated = soliton_problem.exact_solution(theta0=0.75)
@@ -445,22 +447,25 @@ class TestPhaseLine:
 
 
 class TestOrbitMatch:
-    def test_recovers_generating_parameters(self, soliton_problem, soliton_params, grid_1d):
-        target = soliton_problem.exact_solution(x0=1.5, theta0=0.7)
-        fit = tw.orbit_match(target, soliton_params)
-        assert fit.x0 == pytest.approx(1.5, abs=1e-6)
-        assert fit.theta0 == pytest.approx(0.7, abs=1e-6)
-        assert fit.sup_distance <= 1e-6
+    @pytest.mark.parametrize("x0,theta0", [(1.5, 0.7), (-3.3, -2.0), (0.123456789, 0.3)])
+    @pytest.mark.parametrize("sigma,lambda2,points", [(1.0, 1.0, 512), (2.0, 0.4, 1024)],
+                             ids=["sigma1", "sigma2"])
+    def test_recovers_generating_parameters(self, sigma, lambda2, points, x0, theta0):
+        problem = tw.nls_soliton(tw.SolitonParameters(sigma, 1.0, lambda2), Grid1D(50.0, points))
+        fit = tw.orbit_match(problem.exact_solution(x0=x0, theta0=theta0), problem.exact_solution)
+        assert fit.x0 == pytest.approx(x0, abs=1e-10)
+        assert fit.theta0 == pytest.approx(theta0, abs=1e-10)
+        assert fit.sup_distance <= 1e-10
 
-    def test_gauge_perturbed_run(self, soliton_converged, soliton_params):
-        fit = tw.orbit_match(soliton_converged.final, soliton_params)
+    def test_gauge_perturbed_run(self, soliton_converged, soliton_problem):
+        fit = tw.orbit_match(soliton_converged.final, soliton_problem.exact_solution)
         assert fit.x0 == pytest.approx(0.0, abs=1e-6)
         assert fit.theta0 == pytest.approx(np.arctan(0.2), abs=1e-6)
         assert fit.sup_distance <= 1e-6
 
-    def test_zero_field_rejected(self, soliton_params, grid_1d):
+    def test_zero_field_rejected(self, soliton_problem, grid_1d):
         with pytest.raises(ValueError):
-            tw.orbit_match(Field(grid_1d, np.zeros(512, dtype=complex)), soliton_params)
+            tw.orbit_match(Field(grid_1d, np.zeros(512, dtype=complex)), soliton_problem.exact_solution)
 
 
 class TestSerialization:
@@ -473,8 +478,8 @@ class TestSerialization:
         assert len(payload["eigenvalues"]) == 4
         assert payload["hypothesis"]["p"] == 2.0
 
-    def test_orbit_fit_round_trips_json(self, soliton_converged, soliton_params):
-        fit = tw.orbit_match(soliton_converged.final, soliton_params)
+    def test_orbit_fit_round_trips_json(self, soliton_converged, soliton_problem):
+        fit = tw.orbit_match(soliton_converged.final, soliton_problem.exact_solution)
         payload = json.loads(json.dumps(fit.to_json_dict()))
         assert payload["x0"] == pytest.approx(0.0, abs=1e-6)
         assert payload["window"] is not None

@@ -173,8 +173,7 @@ class TestSoliton:
 
     def test_modulus_even_about_center(self, grid_1d):
         # center -x0 = 3.125 sits exactly on a node (16 h), so node mirroring is exact
-        params = tw.SolitonParameters(1.0, 1.0, 1.0, x0=-3.125)
-        prof = tw.exact_soliton_profile(params, grid_1d)
+        prof = tw.exact_soliton_profile(tw.SolitonParameters(1.0, 1.0, 1.0), grid_1d, x0=-3.125)
         mod = np.abs(prof.values)
         j = int(np.argmax(mod))
         assert grid_1d.nodes[j] == pytest.approx(3.125, abs=1e-12)
@@ -190,10 +189,9 @@ class TestSoliton:
         assert problem.pair(problem.exact_solution()).residual <= 1e-8
 
     def test_group_parameters_compose(self, grid_1d):
-        base = tw.SolitonParameters(1.0, 1.0, 1.0)
-        shifted = tw.SolitonParameters(1.0, 1.0, 1.0, x0=1.5, theta0=0.7)
-        u0 = tw.exact_soliton_profile(base, grid_1d).values
-        u1 = tw.exact_soliton_profile(shifted, grid_1d).values
+        params = tw.SolitonParameters(1.0, 1.0, 1.0)
+        u0 = tw.exact_soliton_profile(params, grid_1d).values
+        u1 = tw.exact_soliton_profile(params, grid_1d, x0=1.5, theta0=0.7).values
         # e^{i theta0} u(x + x0) sampled directly
         xs = grid_1d.nodes + 1.5
         rho = np.sqrt(1.5) / np.cosh(np.sqrt(0.75) * xs)
