@@ -47,7 +47,7 @@ from .problems import (
     nls_soliton,
     sech2_potential,
 )
-from .spectral import Field, Grid1D, Grid2D, derivative, diff_matrix, hilbert_transform
+from .spectral import Field, Grid1D, Grid2D, derivative, diff_matrix
 
 __version__ = "0.1.0"
 
@@ -64,5 +64,5 @@ __all__ = [
     "ProblemModel", "SolitonParameters", "benjamin_lump", "double_well_potential",
     "exact_soliton_profile", "gaussian_seed", "nls_ground_state", "nls_soliton",
     "sech2_potential",
-    "Field", "Grid1D", "Grid2D", "derivative", "diff_matrix", "hilbert_transform",
+    "Field", "Grid1D", "Grid2D", "derivative", "diff_matrix",
 ]

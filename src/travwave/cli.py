@@ -390,8 +390,9 @@ def cmd_spectrum(cfg: dict, outdir: Path) -> int:
     seed = build_seed(cfg, problem) if "seed" in cfg else None
     state_kind, diag = _variant(cfg.get("diagnostics", {}), "diagnostics", "state", STATES, default="solve")
     k, limit = diag.get("spectrum_k", 6), problem.linearization_space().dim - 1
-    if not 1 <= k < limit:
-        raise ConfigError(f"diagnostics.spectrum_k: Arnoldi needs 1 <= spectrum_k < dimension - 1 = {limit}, "
+    if not 1 <= k < limit - 1:
+        raise ConfigError(f"diagnostics.spectrum_k: Arnoldi on S runs spectrum_k + 1 pairs and needs "
+                          f"spectrum_k + 1 < dimension - 1 = {limit}, so 1 <= spectrum_k < {limit - 1}; "
                           f"got {k!r}")
 
     if state_kind == "exact":
@@ -410,8 +411,9 @@ def cmd_spectrum(cfg: dict, outdir: Path) -> int:
                                "its spectra say nothing about a traveling wave")
         state = result.final
 
-    spec_S = diagnostics.iteration_matrix_spectrum(problem, state, k, seed=seed)
-    spec_F = diagnostics.jacobian_spectrum(problem, factor, state, k)
+    # one Arnoldi run: F' comes from S's top k + 1 by the rank-one identity
+    spec_S = diagnostics.iteration_matrix_spectrum(problem, state, k, seed=seed, spare=1)
+    spec_F = diagnostics.jacobian_spectrum(problem, factor, state, spec_S, k)
     _json_dump(outdir / "spectrum_S.json", spec_S.to_json_dict())
     _json_dump(outdir / "spectrum_F.json", spec_F.to_json_dict())
 
@@ -424,8 +426,9 @@ def cmd_spectrum(cfg: dict, outdir: Path) -> int:
         else "hypothesis (ii) violated" if not hypothesis.get("ii_rest_within_unit_modulus", True)
         else "hypothesis (i) violated"
     )
-    shift = diagnostics.spectrum_shift_check(spec_S, spec_F, problem.degree,
-                                             factor.degree)
+    shift = diagnostics.spectrum_shift_check(
+        spec_S, spec_F, problem.degree, factor.degree,
+        fixed_point_residual=diagnostics.fixed_point_residual(problem, factor, state))
     hypothesis["spectrum_shift_check"] = shift.to_json_dict()
     _json_dump(outdir / "hypothesis_report.json", hypothesis)
     return 0

@@ -3,7 +3,7 @@
 Conventions: the forward transform is the plain (unnormalized) DFT and the
 inverse carries the 1/m factor, i.e. numpy's convention.  All multipliers are
 normalization-invariant.  The Nyquist mode is zeroed in odd-order derivatives
-and in the Hilbert multiplier so real fields stay real.
+so real fields stay real.
 """
 
 from __future__ import annotations
@@ -161,11 +161,6 @@ def derivative(field: Field, order: int, axis: int = 0) -> Field:
     if order < 1:
         raise ValueError(f"order must be a positive integer, got {order}")
     return _multiply(field, _derivative_multiplier(_axis_grid(field, axis), order), axis)
-
-
-def hilbert_transform(field: Field) -> Field:
-    """Hilbert transform along x: multiplier -i*sign(k), sign(0)=0, Nyquist zeroed."""
-    return _multiply(field, -1j * np.sign(_axis_grid(field, 0).wavenumbers_no_nyquist), 0)
 
 
 def diff_matrix(grid: Grid1D, order: int) -> np.ndarray:

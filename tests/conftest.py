@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 import travwave as tw
+from travwave.diagnostics import f_operator
 from travwave.spectral import Field, Grid1D, Grid2D
+
+
+def reference_jacobian_spectrum(problem, factor, u_star, k):
+    """Top-k spectrum of F' from an Arnoldi run of its own: the independent
+    reference for the F' report, which the library derives from S's."""
+    action, space = f_operator(problem, factor, u_star)
+    return tw.top_eigenvalues(action, space.dim, k)
 
 
 @pytest.fixture(scope="session")

@@ -275,6 +275,40 @@ class TestSpectrum:
         assert "diagnostics.spectrum_k" in err and "dimension - 1 = 63" in err
         assert not (out / "summary.json").exists()
 
+    def test_spectrum_k_leaving_no_spare_pair_exits_2(self, tmp_path, capsys):
+        """S runs spectrum_k + 1 pairs for the F' report, so dimension - 2 is
+        one too many, though Arnoldi alone would accept it."""
+        cfg = load_recipe("table1_col12")
+        cfg["problem"]["grid"]["points"] = 64
+        cfg["diagnostics"]["spectrum_k"] = 62
+        out = tmp_path / "spec"
+        assert main(["spectrum", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+        assert "1 <= spectrum_k < 62; got 62" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("descriptor", ["petviashvili:1.25", "inner:f=square:1.25",
+                                            "norm:1:1.25", "norm:2:1.25", "norm:inf:1.25"])
+    def test_resonant_factor_on_table2(self, tmp_path, descriptor):
+        """p + q = 0.5 meets S's eigenvalue 0.5.  F' keeps that eigenvector
+        only for the Petviashvili factor; for the others F' has a Jordan block
+        there, which the report must flag instead of printing a number."""
+        cfg = load_recipe("table2")
+        cfg["factor"]["descriptor"] = descriptor
+        out = tmp_path / "spec"
+        assert main(["spectrum", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        spec = json.loads((out / "spectrum_F.json").read_text())
+        hyp = json.loads((out / "hypothesis_report.json").read_text())
+        assert sum(abs(complex(*z) - 0.5) <= 1e-9 for z in spec["eigenvalues"]) == 2
+        assert hyp["eigenpairs_verified"] is True  # S's own report
+        assert hyp["spectrum_shift_check"]["ok"]
+        if descriptor.startswith("petviashvili"):
+            assert spec["verified"] is True
+            assert hyp["verdict"] == "hypotheses (i)-(ii) satisfied"
+        else:
+            assert spec["verified"] is False
+            assert max(spec["eigen_residuals"]) > 1e-2
+            assert hyp["verdict"] == "eigenpairs of F' unverified; hypotheses not judged"
+
     def test_unknown_iteration_key_exits_2(self, tmp_path, capsys):
         cfg = load_recipe("table2")
         cfg["iteration"]["max_iteration"] = 3

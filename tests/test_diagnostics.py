@@ -5,12 +5,13 @@ import pytest
 import scipy.linalg
 
 import travwave as tw
-from travwave.diagnostics import f_operator, hypothesis_verdicts, s_operator
+from travwave.diagnostics import (RESIDUAL_TOL, f_operator, fixed_point_residual,
+                                  hypothesis_verdicts, s_operator)
 from travwave.factors import F_MAPS
 from travwave.linops import assemble_matrix, real_inner
 from travwave.spectral import Field, Grid1D
 
-from conftest import make_synthetic_diagonal
+from conftest import make_synthetic_diagonal, reference_jacobian_spectrum
 
 
 class TestIterationMatrixAction:
@@ -129,11 +130,36 @@ RECIPE_STATES = {
 }
 
 
-@pytest.fixture(params=sorted(RECIPE_STATES))
-def recipe_state(request):
-    problem_name, state_name = RECIPE_STATES[request.param]
+FUSED_DESCRIPTORS = ("petviashvili:optimal", "inner:f=square:optimal", "inner:f=cube:optimal",
+                     "norm:1:optimal", "norm:2:optimal", "norm:inf:optimal")
+
+
+def recipe_problem_state(request, recipe):
+    problem_name, state_name = RECIPE_STATES[recipe]
     state = request.getfixturevalue(state_name)
     return request.getfixturevalue(problem_name), getattr(state, "final", state)
+
+
+@pytest.fixture(params=sorted(RECIPE_STATES))
+def recipe_state(request):
+    return recipe_problem_state(request, request.param)
+
+
+def dense_s_and_f(problem, factor, state):
+    """Dense S, assembled column by column, and F' = S + u* g^T, where
+    g_j = grad s(u*) . e_j is collected in the same column loop."""
+    space = problem.linearization_space()
+    grad = factor.gradient(state)
+    g = []
+
+    def s_column(x):
+        e = space.from_vector(x)
+        jNe = problem.jacN_action(state, e)
+        g.append(grad(e, jNe))
+        return space.to_vector(problem.solve_L(jNe))
+
+    A_S = assemble_matrix(s_column, space.dim)
+    return A_S, A_S + np.outer(space.to_vector(state), g)
 
 
 class TestRecipeSpectra:
@@ -141,15 +167,13 @@ class TestRecipeSpectra:
         problem, state = recipe_state
         factor = tw.petviashvili_factor("optimal", problem)
         k = 6
-        for spec, (action, space) in (
-            (tw.iteration_matrix_spectrum(problem, state, k), s_operator(problem, state)),
-            (tw.jacobian_spectrum(problem, factor, state, k), f_operator(problem, factor, state)),
-        ):
+        spec_S = tw.iteration_matrix_spectrum(problem, state, k, spare=1)
+        spec_F = tw.jacobian_spectrum(problem, factor, state, spec_S, k)
+        # the dense reference: the assembled matrices, not the oracle
+        for spec, A in zip((spec_S, spec_F), dense_s_and_f(problem, factor, state)):
             assert spec.solver == "arnoldi"
             assert spec.verified
             assert np.max(spec.residuals) <= 1e-8
-            # the dense reference: the assembled matrix, not the oracle
-            A = assemble_matrix(action, space.dim)
             V = spec.eigenvectors
             matrix_residuals = (np.linalg.norm(A @ V - V * spec.eigenvalues, axis=0)
                                 / np.linalg.norm(V, axis=0))
@@ -158,6 +182,91 @@ class TestRecipeSpectra:
             top = dense[np.argsort(-np.abs(dense), kind="stable")[:k]]
             assert np.allclose(np.sort_complex(spec.eigenvalues), np.sort_complex(top),
                                rtol=0.0, atol=1e-10)
+
+
+class TestDerivedJacobianSpectrum:
+    """F' from S's top k + 1 by the rank-one identity, against an F' Arnoldi
+    run of its own."""
+
+    @pytest.mark.parametrize("descriptor", FUSED_DESCRIPTORS)
+    @pytest.mark.parametrize("recipe", sorted(RECIPE_STATES))
+    def test_matches_reference_arnoldi(self, request, recipe, descriptor):
+        if recipe == "table1_col34" and descriptor.startswith("inner:f=square"):
+            pytest.skip("<N(u), u^2> vanishes at the odd state: the factor is 0/0")
+        problem, state = recipe_problem_state(request, recipe)
+        factor = tw.from_descriptor(descriptor, problem)
+        spec_S = tw.iteration_matrix_spectrum(problem, state, 6, spare=1)
+        derived = tw.jacobian_spectrum(problem, factor, state, spec_S, 6)
+        reference = reference_jacobian_spectrum(problem, factor, state, 6)
+        assert derived.verified and reference.verified
+        assert np.max(derived.residuals) <= 1e-12
+        assert np.allclose(np.sort_complex(derived.eigenvalues),
+                           np.sort_complex(reference.eigenvalues), rtol=0.0, atol=1e-10)
+
+    # S's top k + 1 holds p = 3 on table2 (first) and on table1_col34 at k = 2
+    # (the spare pair, third); at k = 1 there p lies outside and nothing is dropped
+    @pytest.mark.parametrize("recipe, k, p_in_top", [("table2", 1, True),
+                                                     ("table1_col34", 1, False),
+                                                     ("table1_col34", 2, True)])
+    def test_small_k(self, request, recipe, k, p_in_top):
+        problem, state = recipe_problem_state(request, recipe)
+        factor = tw.petviashvili_factor("optimal", problem)
+        spec_S = tw.iteration_matrix_spectrum(problem, state, k, spare=1)
+        top_S = [*spec_S.eigenvalues, *(lam for lam, _ in spec_S.spare_pairs)]
+        assert len(top_S) == k + 1
+        assert (min(abs(lam - problem.degree) for lam in top_S) <= 1e-10) == p_in_top
+        derived = tw.jacobian_spectrum(problem, factor, state, spec_S, k)
+        reference = reference_jacobian_spectrum(problem, factor, state, k)
+        assert derived.k == k and derived.verified
+        assert np.allclose(derived.eigenvalues, reference.eigenvalues, rtol=0.0, atol=1e-10)
+
+    def test_needs_a_spare_pair(self, soliton_problem, soliton_exact):
+        factor = tw.petviashvili_factor("optimal", soliton_problem)
+        spec_S = tw.iteration_matrix_spectrum(soliton_problem, soliton_exact, 6)
+        assert spec_S.spare_pairs == ()
+        with pytest.raises(ValueError, match="needs the top 7 of S"):
+            tw.jacobian_spectrum(soliton_problem, factor, soliton_exact, spec_S, 6)
+
+    @pytest.mark.parametrize("descriptor", ["petviashvili:1.25", "inner:f=square:1.25",
+                                            "norm:1:1.25", "norm:2:1.25", "norm:inf:1.25"])
+    def test_resonance_keeps_the_s_eigenvector(self, soliton_problem, soliton_exact,
+                                                descriptor):
+        """gamma = 1.25 puts p + q = 0.5 on S's eigenvalue 0.5.  Only the
+        Petviashvili gradient is L-orthogonal to that eigenvector; for the
+        others F' has a Jordan block there, and its F' pair must fail the gate
+        rather than come out of a division by about 0."""
+        factor = tw.from_descriptor(descriptor, soliton_problem)
+        assert soliton_problem.degree + factor.degree == 0.5
+        spec_S = tw.iteration_matrix_spectrum(soliton_problem, soliton_exact, 6, spare=1)
+        spec_F = tw.jacobian_spectrum(soliton_problem, factor, soliton_exact, spec_S, 6)
+        i_S = int(np.argmin(np.abs(spec_S.eigenvalues - 0.5)))
+        i_F = int(np.flatnonzero(spec_F.eigenvalues == spec_S.eigenvalues[i_S])[0])
+        assert np.array_equal(spec_F.eigenvectors[:, i_F], spec_S.eigenvectors[:, i_S])
+        assert np.count_nonzero(np.abs(spec_F.eigenvalues - 0.5) <= 1e-9) == 2
+        assert np.all(np.isfinite(spec_F.eigenvectors))
+        resonant_ok = spec_F.residuals[i_F] <= RESIDUAL_TOL
+        assert resonant_ok == descriptor.startswith("petviashvili")
+        others = np.delete(spec_F.residuals, i_F)
+        assert np.max(others) <= 1e-12
+        assert spec_F.verified == resonant_ok
+
+    @pytest.mark.parametrize("descriptor", FUSED_DESCRIPTORS)
+    def test_fixed_point_residual_on_table2(self, soliton_problem, soliton_exact, descriptor):
+        factor = tw.from_descriptor(descriptor, soliton_problem)
+        residual = fixed_point_residual(soliton_problem, factor, soliton_exact)
+        assert 0.0 < residual <= RESIDUAL_TOL
+
+    def test_shift_check_requires_the_fixed_point_residual(self, synthetic_diagonal):
+        problem, u_star, _ = synthetic_diagonal
+        factor = tw.petviashvili_factor("optimal", problem)
+        spec_S = tw.iteration_matrix_spectrum(problem, u_star, 5, spare=1)
+        spec_F = tw.jacobian_spectrum(problem, factor, u_star, spec_S, 5)
+        for residual, ok in ((1e-14, True), (1e-3, False)):
+            check = tw.spectrum_shift_check(spec_S, spec_F, problem.degree, factor.degree,
+                                            fixed_point_residual=residual)
+            assert check.max_deviation <= 1e-12
+            assert check.ok is ok
+            assert check.to_json_dict()["fixed_point_residual"] == residual
 
 
 class TestJacobianAction:
@@ -170,22 +279,21 @@ class TestJacobianAction:
 
     def test_ground_state_jacobian_spectrum(self, ground_state_problem, ground_state_converged):
         factor = tw.petviashvili_factor("optimal", ground_state_problem)
-        spec = tw.jacobian_spectrum(ground_state_problem, factor,
-                                    ground_state_converged.final, 6)
+        state = ground_state_converged.final
+        spec_S = tw.iteration_matrix_spectrum(ground_state_problem, state, 6, spare=1)
+        spec = tw.jacobian_spectrum(ground_state_problem, factor, state, spec_S, 6)
         expected = [0.70640, 0.32731, 0.19060, 0.12518, 0.088644, 0.066133]
         assert np.allclose(spec.eigenvalues.real, expected, atol=5e-3)
 
     def test_antisymmetric_state_keeps_unstable_pair(self, double_well_problem,
                                                      antisymmetric_state):
         factor = tw.petviashvili_factor("optimal", double_well_problem)
-        spec = tw.jacobian_spectrum(double_well_problem, factor, antisymmetric_state, 6)
+        spec_S = tw.iteration_matrix_spectrum(double_well_problem, antisymmetric_state, 6,
+                                              spare=1)
+        spec = tw.jacobian_spectrum(double_well_problem, factor, antisymmetric_state, spec_S, 6)
         vals = spec.eigenvalues.real
         assert vals[0] == pytest.approx(8.0032, abs=0.05)
         assert vals[1] == pytest.approx(-5.6760, abs=0.05)
-
-
-FUSED_DESCRIPTORS = ("petviashvili:optimal", "inner:f=square:optimal", "inner:f=cube:optimal",
-                     "norm:1:optimal", "norm:2:optimal", "norm:inf:optimal")
 
 
 def literal_f_action(problem, factor, u, v):
@@ -247,7 +355,7 @@ class TestSpectrumShift:
         problem, u_star, _ = synthetic_diagonal
         factor = tw.petviashvili_factor("optimal", problem)
         spec_S = tw.iteration_matrix_spectrum(problem, u_star, 6)
-        spec_F = tw.jacobian_spectrum(problem, factor, u_star, 6)
+        spec_F = reference_jacobian_spectrum(problem, factor, u_star, 6)
         check = tw.spectrum_shift_check(spec_S, spec_F, problem.degree, factor.degree,
                                         tol=1e-12)
         assert check.ok
@@ -274,15 +382,20 @@ class TestSpectrumShift:
         fd_eigs = np.linalg.eigvals(J).real
         top = fd_eigs[np.argsort(-np.abs(fd_eigs))[:6]]
 
-        spec_F = tw.jacobian_spectrum(problem, factor, u_star, 6)
+        spec_F = reference_jacobian_spectrum(problem, factor, u_star, 6)
         assert np.allclose(np.sort(spec_F.eigenvalues.real), np.sort(top), atol=1e-6)
+        # dimension 8 leaves room for the top 5 of F' from the top 6 of S
+        spec_S = tw.iteration_matrix_spectrum(problem, u_star, 5, spare=1)
+        derived = tw.jacobian_spectrum(problem, factor, u_star, spec_S, 5)
+        assert derived.verified
+        assert np.allclose(np.sort(derived.eigenvalues.real), np.sort(top[:5]), atol=1e-6)
 
     def test_ground_state_shift_pattern(self, ground_state_problem, ground_state_converged):
         factor = tw.petviashvili_factor("optimal", ground_state_problem)
         spec_S = tw.iteration_matrix_spectrum(ground_state_problem,
                                               ground_state_converged.final, 7)
-        spec_F = tw.jacobian_spectrum(ground_state_problem, factor,
-                                      ground_state_converged.final, 6)
+        spec_F = reference_jacobian_spectrum(ground_state_problem, factor,
+                                             ground_state_converged.final, 6)
         check = tw.spectrum_shift_check(spec_S, spec_F, ground_state_problem.degree,
                                         factor.degree)
         assert check.ok, f"max deviation {check.max_deviation}"
@@ -291,7 +404,7 @@ class TestSpectrumShift:
                                                          antisymmetric_state):
         factor = tw.petviashvili_factor("optimal", double_well_problem)
         spec_S = tw.iteration_matrix_spectrum(double_well_problem, antisymmetric_state, 7)
-        spec_F = tw.jacobian_spectrum(double_well_problem, factor, antisymmetric_state, 6)
+        spec_F = reference_jacobian_spectrum(double_well_problem, factor, antisymmetric_state, 6)
         check = tw.spectrum_shift_check(spec_S, spec_F, 3.0, factor.degree)
         assert check.ok, f"max deviation {check.max_deviation}"
 

@@ -7,7 +7,6 @@ from travwave.spectral import (
     Grid2D,
     derivative,
     diff_matrix,
-    hilbert_transform,
 )
 
 
@@ -85,38 +84,6 @@ class TestDerivative:
         dz = derivative(f, 1, axis=1)
         assert np.max(np.abs(dx.values - np.cos(X) * np.cos(2 * Z))) < 1e-12
         assert np.max(np.abs(dz.values + 2 * np.sin(X) * np.sin(2 * Z))) < 1e-12
-
-
-class TestHilbert:
-    def test_cos_maps_to_sin(self):
-        g = Grid1D(np.pi, 64)
-        h = hilbert_transform(Field(g, np.cos(g.nodes)))
-        assert np.max(np.abs(h.values - np.sin(g.nodes))) <= 1e-12
-
-    def test_constant_maps_to_zero(self):
-        g = Grid1D(2.0, 32)
-        h = hilbert_transform(Field(g, np.ones(32)))
-        assert np.max(np.abs(h.values)) < 1e-14
-
-    def test_dispersive_symbol_composition(self):
-        # -2*Gamma * H(d/dx e^{ikx}) = -2*Gamma*|k| e^{ikx}
-        g = Grid1D(np.pi, 32)
-        gamma_cap = 0.5
-        for k in (1.0, 3.0, -2.0):
-            mode = Field(g, np.exp(1j * k * g.nodes))
-            out = hilbert_transform(derivative(mode, 1)) * (-2 * gamma_cap)
-            expected = -2 * gamma_cap * abs(k) * mode.values
-            assert np.max(np.abs(out.values - expected)) < 1e-12
-
-    def test_involution_is_minus_identity(self):
-        g = Grid1D(5.0, 64)
-        rng = np.random.default_rng(3)
-        vhat = np.zeros(64, dtype=complex)
-        vhat[1:20] = rng.normal(size=19) + 1j * rng.normal(size=19)
-        vhat[-19:] = np.conj(vhat[1:20][::-1])  # zero mean, zero Nyquist
-        f = Field(g, np.fft.ifft(vhat).real)
-        hh = hilbert_transform(hilbert_transform(f))
-        assert np.max(np.abs(hh.values + f.values)) <= 1e-10
 
 
 class TestDiffMatrix:
