@@ -426,10 +426,7 @@ def cmd_spectrum(cfg: dict, outdir: Path) -> int:
         else "hypothesis (ii) violated" if not hypothesis.get("ii_rest_within_unit_modulus", True)
         else "hypothesis (i) violated"
     )
-    shift = diagnostics.spectrum_shift_check(
-        spec_S, spec_F, problem.degree, factor.degree,
-        fixed_point_residual=diagnostics.fixed_point_residual(problem, factor, state))
-    hypothesis["spectrum_shift_check"] = shift.to_json_dict()
+    hypothesis["spectrum_shift_check"] = diagnostics.spectrum_shift_check(problem, factor, state)
     _json_dump(outdir / "hypothesis_report.json", hypothesis)
     return 0
 

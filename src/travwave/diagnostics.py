@@ -210,15 +210,6 @@ def jacobian_spectrum(problem: ProblemModel, factor: StabilizingFactor, u_star: 
     return _report(action, space.dim, eigvals, eigvecs, k, spec_S.converged)
 
 
-def fixed_point_residual(problem: ProblemModel, factor: StabilizingFactor, u_star: Field) -> float:
-    """||F' u* - (p+q) u*|| / ||u*||, measured through `f_operator`: the
-    eigenrelation the shift law rests on, which the derivation assumes."""
-    action, space = f_operator(problem, factor, u_star)
-    u_vec = space.to_vector(u_star)
-    lam = problem.degree + factor.degree
-    return float(np.linalg.norm(action(u_vec) - lam * u_vec) / np.linalg.norm(u_vec))
-
-
 def hypothesis_verdicts(report: SpectrumReport, p: float,
                         seed_vector: np.ndarray | None = None) -> dict:
     """Verdicts for the local-convergence hypotheses at the reported spectrum.
@@ -282,68 +273,20 @@ def _cluster_basis(report: SpectrumReport, indices: list[int]) -> np.ndarray:
     return q
 
 
-@dataclass
-class ShiftCheckReport:
-    """Multiset comparison spec(F') vs (spec(S) \\ {p}) union {p+q}."""
+def spectrum_shift_check(problem: ProblemModel, factor: StabilizingFactor, u_star: Field,
+                         tol: float = 1e-4) -> dict:
+    """The eigenrelation F' u* = (p+q) u* that the shift law
+    spec F' = (spec S \\ {p}) u {p+q} rests on, measured through `f_operator`.
 
-    ok: bool
-    max_deviation: float
-    compared: int
-    tolerance: float
-    pairs: list  # (expected, actual, |diff|)
-    fixed_point_residual: float | None = None  # ||F'u* - (p+q)u*|| / ||u*||
-
-    def to_json_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "max_deviation": self.max_deviation,
-            "compared": self.compared,
-            "tolerance": self.tolerance,
-            "pairs": [
-                {"expected": [e.real, e.imag], "actual": [a.real, a.imag], "diff": d}
-                for e, a, d in self.pairs
-            ],
-            "fixed_point_residual": self.fixed_point_residual,
-        }
-
-
-def spectrum_shift_check(spec_S: SpectrumReport, spec_F: SpectrumReport,
-                         p: float, q: float, tol: float = 1e-4,
-                         fixed_point_residual: float | None = None) -> ShiftCheckReport:
-    """Verify that stabilization replaces the eigenvalue p of S by p+q.
-
-    Top-k reports predict only eigenvalues above the smallest reported
-    S-modulus, so the comparison truncates there (the block-triangular
-    structure says nothing about eigenvalues below the reported window).
-    An F' report derived from S agrees by construction; the measured
-    `fixed_point_residual(...)`, when given, does not, and `ok` also requires
-    it to be at most tol.
+    `jacobian_spectrum` derives the rest of spec F' from spec S by the
+    rank-one identity, so this is the one relation it takes on trust.  `ok`
+    requires ||F' u* - (p+q) u*|| / ||u*|| to be at most tol.
     """
-    s_vals = list(spec_S.eigenvalues)
-    idx_p = int(np.argmin([abs(z - p) for z in s_vals]))
-    s_vals.pop(idx_p)
-    expected = np.array(s_vals + [complex(p + q)])
-    actual = np.array(list(spec_F.eigenvalues))
-
-    floor = float(np.min(spec_S.moduli)) + tol
-    expected = expected[np.abs(expected) > floor]
-    actual = actual[np.abs(actual) > floor]
-
-    n = min(len(expected), len(actual))
-    expected = expected[np.argsort(-np.abs(expected), kind="stable")][:n]
-    actual = actual[np.argsort(-np.abs(actual), kind="stable")][:n]
-    fixed_point_ok = fixed_point_residual is None or fixed_point_residual <= tol
-    if n == 0:
-        return ShiftCheckReport(fixed_point_ok, 0.0, 0, tol, [], fixed_point_residual)
-
-    from scipy.optimize import linear_sum_assignment
-    cost = np.abs(expected[:, None] - actual[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    pairs = [(complex(expected[i]), complex(actual[j]), float(cost[i, j]))
-             for i, j in zip(rows, cols)]
-    max_dev = max(d for _, _, d in pairs)
-    return ShiftCheckReport(max_dev <= tol and fixed_point_ok, max_dev, n, tol, pairs,
-                            fixed_point_residual)
+    action, space = f_operator(problem, factor, u_star)
+    u_vec = space.to_vector(u_star)
+    lam = problem.degree + factor.degree
+    residual = float(np.linalg.norm(action(u_vec) - lam * u_vec) / np.linalg.norm(u_vec))
+    return {"ok": residual <= tol, "fixed_point_residual": residual, "tolerance": tol}
 
 
 # ---------------------------------------------------------------------------

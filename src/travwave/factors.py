@@ -154,7 +154,9 @@ def inner_factor(f: str, gamma, problem: ProblemModel, allow_marginal: bool = Fa
         fc = pair.uc if fmap is F_MAPS["identity"] else pair.coefficients(fmap.apply(pair.u.values))
         num = pair.inner(pair.Lc, fc)
         den = pair.inner(pair.Nc, fc)
-        if abs(den) <= 1e-14 * pair.norm(pair.Nc) * pair.norm(fc):
+        # relative to its Cauchy-Schwarz scale: an even f at an odd state
+        # cancels to a rounding-level 1e-13, which must not pass as a number
+        if abs(den) <= 1e-8 * pair.norm(pair.Nc) * pair.norm(fc):
             raise DegenerateDenominatorError(
                 f"|<N(u), f(u)>| = {abs(den):.3g} is degenerate for f = {fmap.name}"
             )

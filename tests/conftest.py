@@ -15,6 +15,18 @@ def reference_jacobian_spectrum(problem, factor, u_star, k):
     return tw.top_eigenvalues(action, space.dim, k)
 
 
+def shift_law_deviation(spec_S, p, q, eigenvalues):
+    """Largest distance between the top k eigenvalues of F' given and the
+    shift law's prediction: S's reported eigenvalues with the one nearest p
+    replaced by p + q, top k by modulus; both sides in np.sort_complex order."""
+    lam = list(spec_S.eigenvalues)
+    lam.pop(int(np.argmin(np.abs(spec_S.eigenvalues - p))))
+    lam.append(complex(p + q))
+    lam.sort(key=lambda z: -abs(z))
+    predicted = np.sort_complex(np.array(lam[:len(eigenvalues)]))
+    return float(np.max(np.abs(predicted - np.sort_complex(eigenvalues))))
+
+
 @pytest.fixture(scope="session")
 def grid_1d():
     return Grid1D(50.0, 512)

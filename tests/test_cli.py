@@ -309,6 +309,17 @@ class TestSpectrum:
             assert max(spec["eigen_residuals"]) > 1e-2
             assert hyp["verdict"] == "eigenpairs of F' unverified; hypotheses not judged"
 
+    def test_even_inner_factor_at_the_odd_state_exits_3(self, tmp_path, capsys):
+        """<N(u*), u*^2> cancels to rounding at the antisymmetric state: the
+        factor is 0/0 there, and the spectrum says so instead of a number."""
+        cfg = load_recipe("table1_col34")
+        cfg["factor"]["descriptor"] = "inner:f=square:optimal"
+        out = tmp_path / "spec"
+        assert main(["spectrum", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "DegenerateDenominatorError" in err and "is degenerate for f = square" in err
+        assert not (out / "spectrum_F.json").exists()
+
     def test_unknown_iteration_key_exits_2(self, tmp_path, capsys):
         cfg = load_recipe("table2")
         cfg["iteration"]["max_iteration"] = 3
@@ -773,6 +784,7 @@ class TestColdStart:
         assert report["codes"] == [0, 0, 0, 0]
         assert report["before"] == []
         assert "scipy.sparse.linalg" in report["after"]
+        assert "scipy.optimize" not in report["after"]
         assert json.loads((tmp_path / "cont" / "continuation.json").read_text())["completed"]
 
 

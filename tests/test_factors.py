@@ -69,6 +69,8 @@ class TestPetviashviliFactor:
         factor = petviashvili_factor(2.0, problem)
         with pytest.raises(DegenerateDenominatorError):
             factor(vec(problem, 1.0, -1.0))  # <u*u, u> = 0
+        with pytest.raises(DegenerateDenominatorError):
+            factor(vec(problem, 1.0, -1.0 + 1e-10))  # 3e-10 against a scale of 2
 
     def test_negative_ratio_non_integer_gamma(self):
         problem = identity_square_problem()
