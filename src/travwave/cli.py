@@ -7,8 +7,9 @@ bit-identical outputs on the same numpy/BLAS build with the same BLAS thread
 settings: Arnoldi's start vector has a fixed seed.
 
 Every config block is read by `_read`, against keys declared next to its
-builder, before anything is solved: an unknown key, a missing one or a value
-of the wrong JSON type is a config error that names its key path.
+builder, before anything is solved: an unknown key, a missing one, a value
+of the wrong JSON type or a non-finite number is a config error that names its
+key path.
 
 Exit codes: 0 success (a reported divergence is a valid result), 2 config
 error, 3 runtime failure.
@@ -34,6 +35,7 @@ from .iterate import COLLAPSED, IterationConfig, SolveResult, newton_solve, solv
 from .spectral import Field, Grid1D, Grid2D, derivative
 
 FLOAT_FMT = "%.17g"
+AXIS_NAMES = ("x", "z")  # profile CSV coordinate columns, one per grid axis
 
 
 class ConfigError(ValueError):
@@ -70,8 +72,8 @@ EXPECTED = {float: "a number", int: "an integer", str: "a string", bool: "true o
 
 
 def _typed(value, kind, path: str):
-    """`value` checked against the JSON type `kind`: float (any number, returned
-    as a float), int, str, bool or dict; list[...] or tuple[...] for a list.
+    """`value` checked against the JSON type `kind`: float (any finite number,
+    returned as a float), int, str, bool or dict; list[...] or tuple[...] for a list.
     A boolean is never a number."""
     if get_origin(kind) in (list, tuple):
         if not isinstance(value, list):
@@ -79,6 +81,8 @@ def _typed(value, kind, path: str):
         return [_typed(item, get_args(kind)[0], f"{path}[{i}]") for i, item in enumerate(value)]
     accepted = (int, float) if kind is float else kind
     if isinstance(value, accepted) and isinstance(value, bool) == (kind is bool):
+        if kind is float and not -sys.float_info.max <= value <= sys.float_info.max:  # NaN, +-inf, 1e400
+            raise ConfigError(f"{path}: expected a finite number, got {value!r}")
         return float(value) if kind is float else value
     raise ConfigError(f"{path}: expected {EXPECTED[kind]}, got {value!r}")
 
@@ -166,7 +170,7 @@ FAMILIES = {"nls_ground_state": ({"grid": dict, "potential": dict, "mu": float},
 def build_problem(cfg: dict):
     family, values = _variant(cfg.get("problem"), "problem", "family", FAMILIES)
     grid = build_grid(values)
-    if isinstance(grid, Grid2D) != (family == "benjamin_lump"):
+    if (len(grid.axes) == 2) != (family == "benjamin_lump"):
         raise ConfigError(f"problem.grid: {family} needs a {'2D' if family == 'benjamin_lump' else '1D'} grid")
     V = build_potential(values["potential"], grid) if family == "nls_ground_state" else None
     try:
@@ -266,13 +270,12 @@ def write_trace_csv(path: Path, result: SolveResult) -> None:
 def _profile_template(grid, is_complex: bool) -> str:
     """The profile CSV template of a grid: node coordinates, then re and im
     fields; a real field's im column is the literal 0 that FLOAT_FMT prints."""
-    axes = (grid,) if isinstance(grid, Grid1D) else (grid.grid_x, grid.grid_z)
     # node coordinates repeat along the other axis: format each one once
     prefixes = [""]
-    for axis in axes:
+    for axis in grid.axes:
         coords = _prefixes(axis.nodes)
         prefixes = [p + x for p in prefixes for x in coords]
-    header = "x,re,im" if len(axes) == 1 else "x,z,re,im"
+    header = ",".join([*AXIS_NAMES[:len(grid.axes)], "re", "im"])
     return _template(header, prefixes, f"{FLOAT_FMT},{FLOAT_FMT}" if is_complex else f"{FLOAT_FMT},0")
 
 
@@ -299,22 +302,32 @@ def read_profile_csv(path: str | Path, problem, key: str = "seed.path") -> Field
             rows = list(csv.reader(fh))
     except FileNotFoundError:
         raise ConfigError(f"{key}: profile file not found: {path}") from None
+    grid = problem.grid
+    names = AXIS_NAMES[:len(grid.axes)]
     try:
         header, data = rows[0], rows[1:]
-        re_col, im_col = header.index("re"), header.index("im")
+        re_col, im_col, *coord_cols = (header.index(name) for name in ("re", "im", *names))
         values = np.array([float(r[re_col]) + 1j * float(r[im_col]) for r in data])
+        coords = np.array([[float(r[c]) for c in coord_cols] for r in data]).reshape(-1, len(names))
     except (IndexError, ValueError):
-        raise ConfigError(f"{key}: {path} is not a profile CSV with 're' and 'im' columns") from None
-    expected = int(np.prod(problem.grid.shape))
+        raise ConfigError(f"{key}: {path} is not a profile CSV with "
+                          f"{', '.join(map(repr, names))}, 're' and 'im' columns") from None
+    expected = int(np.prod(grid.shape))
     if values.size != expected:
         raise ConfigError(f"{key}: profile has {values.size} nodes, grid needs {expected}")
-    values = values.reshape(problem.grid.shape)
+    # the writer's FLOAT_FMT round-trips the nodes exactly; allow for other writers' rounding
+    mesh = np.meshgrid(*(axis.nodes for axis in grid.axes), indexing="ij")
+    for name, column, nodes, axis in zip(names, coords.T, mesh, grid.axes):
+        if not np.max(np.abs(column - nodes.ravel())) <= 1e-12 * axis.half_length:  # NaN too
+            raise ConfigError(f"{key}: profile's {name} coordinates are not the nodes of the grid "
+                              f"with half length {axis.half_length} and {axis.point_count} points")
+    values = values.reshape(grid.shape)
     if not problem.is_complex:
         if np.max(np.abs(values.imag)) > 1e-12 * max(np.max(np.abs(values)), 1.0):
             raise ConfigError(f"{key}: complex profile supplied to a real-field problem, "
                               "whose state is the 're' column")
         values = values.real
-    return Field(problem.grid, values)
+    return Field(grid, values)
 
 
 def _json_dump(path: Path, payload: dict) -> None:
@@ -326,12 +339,9 @@ def _json_dump(path: Path, payload: dict) -> None:
 def summary_payload(seed: dict | None, problem, factor, result: SolveResult, engine: str,
                     itconfig: IterationConfig) -> dict:
     tr = result.trace
-    grid = problem.grid
-    if isinstance(grid, Grid2D):
-        grid_meta = {"half_length_x": grid.grid_x.half_length, "points_x": grid.grid_x.point_count,
-                     "half_length_z": grid.grid_z.half_length, "points_z": grid.grid_z.point_count}
-    else:
-        grid_meta = {"half_length": grid.half_length, "points": grid.point_count}
+    axes = problem.grid.axes
+    grid_meta = dict(zip(GRID_2D if len(axes) == 2 else GRID_1D,
+                         [n for axis in axes for n in (axis.half_length, axis.point_count)]))
     return {
         "status": tr.status,
         "iterations": tr.iteration_count,
@@ -364,7 +374,7 @@ def _solve_outputs(outdir: Path, seed: dict | None, problem, factor, result: Sol
                    itconfig: IterationConfig) -> None:
     write_trace_csv(outdir / "trace.csv", result)
     write_profile_csv(outdir / "profile.csv", result.final)
-    if isinstance(problem.grid, Grid2D):
+    if len(problem.grid.axes) == 2:
         write_cross_sections(outdir, result.final)
     _json_dump(outdir / "summary.json", summary_payload(seed, problem, factor, result, engine, itconfig))
 

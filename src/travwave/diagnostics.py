@@ -102,12 +102,13 @@ def top_eigenvalues(action: Callable[[np.ndarray], np.ndarray], dimension: int, 
 
     Implicitly restarted Arnoldi (ARPACK, largest modulus) for k + spare
     pairs; 1 <= k and k + spare < dimension - 1 is ARPACK's own limit, and
-    anything else raises ValueError.  The top k pairs are the report; the
-    `spare` next ones are kept, unmeasured, as `spare_pairs`.  The start
-    vector is pseudo-random with a fixed seed, so runs repeat exactly and no
-    parity class is missing from the Krylov space (a constant start vector is
-    even, and a parity-preserving operator keeps it even).  Eigen-residuals
-    are measured through the oracle itself.
+    anything else raises ValueError.  An ARPACK stop short of convergence gives
+    an unconverged report, or RuntimeError without a single converged pair.
+    The top k pairs are the report; the `spare` next ones are kept, unmeasured,
+    as `spare_pairs`.  The start vector is pseudo-random with a fixed seed, so
+    runs repeat exactly and no parity class is missing from the Krylov space
+    (a constant start vector is even, and a parity-preserving operator keeps
+    it even).  Eigen-residuals are measured through the oracle itself.
     """
     if not (k >= 1 and spare >= 0 and k + spare < dimension - 1):
         raise ValueError(f"k must satisfy 1 <= k and k + spare < dimension - 1 = {dimension - 1}, "
@@ -119,6 +120,9 @@ def top_eigenvalues(action: Callable[[np.ndarray], np.ndarray], dimension: int, 
     try:
         eigvals, eigvecs = scipy.sparse.linalg.eigs(op, k=k + spare, which="LM", v0=v0)
     except scipy.sparse.linalg.ArpackNoConvergence as exc:
+        if len(exc.eigenvalues) == 0:
+            raise RuntimeError(f"ARPACK did not converge: none of the {k + spare} eigenpairs "
+                               "requested came back") from None
         eigvals, eigvecs = exc.eigenvalues, exc.eigenvectors
         converged = False
 
@@ -299,10 +303,8 @@ def symmetry_generators(problem: ProblemModel, u: Field) -> list[Field]:
     for name in problem.symmetries:
         if name == "gauge":
             gens.append(u.with_values(1j * u.values))
-        elif name == "translation_x":
-            gens.append(derivative(u, 1, axis=0))
-        elif name == "translation_z":
-            gens.append(derivative(u, 1, axis=1))
+        elif name in ("translation_x", "translation_z"):  # along axis 0 or 1
+            gens.append(derivative(u, 1, axis=("translation_x", "translation_z").index(name)))
         else:
             raise ValueError(f"unknown symmetry {name!r}")
     return gens

@@ -328,8 +328,9 @@ def benjamin_lump(gamma_cap: float, sound_speed: float, grid: Grid2D) -> Problem
         raise ValueError(f"sound_speed must be positive, got {sound_speed}")
     if gamma_cap < 0:
         raise ValueError(f"Gamma must be nonnegative, got {gamma_cap}")
-    kx = grid.kx
-    kz = np.abs(grid.kz[:, : grid.grid_z.point_count // 2 + 1])  # rfftn's half spectrum
+    axis_x, axis_z = grid.axes
+    kx = axis_x.wavenumbers[:, None]
+    kz = np.abs(axis_z.wavenumbers[None, : axis_z.point_count // 2 + 1])  # rfftn's half spectrum
     symbol = kx**2 * (sound_speed + 2.0 * gamma_cap * np.abs(kx) + kx**2) + kz**2
     fourier = FourierSymbol(grid.shape, True, symbol, kx**2, lambda v: v * v,
                             lambda u, w: 2.0 * u * w, pinned=symbol == 0.0)
@@ -355,18 +356,13 @@ def _fourier_model(fs: FourierSymbol, **fields) -> ProblemModel:
 
 
 def gaussian_seed(grid: Grid, amplitude: float, width: float, antisymmetric: bool = False) -> Field:
-    """Gaussian initial iterate A*exp(-x^2/w^2), times x when antisymmetric."""
+    """Gaussian initial iterate A*exp(-|x|^2/w^2) at the nodes x, times x when antisymmetric (1D)."""
     if amplitude == 0:
         raise ValueError("amplitude must be nonzero")
     if width <= 0:
         raise ValueError(f"width must be positive, got {width}")
-    if isinstance(grid, Grid1D):
-        x = grid.nodes
-        v = amplitude * np.exp(-(x**2) / width**2)
-        if antisymmetric:
-            v = v * x
-        return Field(grid, v)
-    if antisymmetric:
+    if antisymmetric and len(grid.axes) > 1:
         raise ValueError("antisymmetric seeds are 1D only")
-    X, Z = grid.mesh
-    return Field(grid, amplitude * np.exp(-(X**2 + Z**2) / width**2))
+    mesh = np.meshgrid(*(axis.nodes for axis in grid.axes), indexing="ij")
+    v = amplitude * np.exp(-sum(x**2 for x in mesh) / width**2)
+    return Field(grid, v * mesh[0] if antisymmetric else v)

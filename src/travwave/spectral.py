@@ -22,8 +22,8 @@ class Grid1D:
     point_count: int
 
     def __post_init__(self):
-        if self.half_length <= 0:
-            raise ValueError(f"half_length must be positive, got {self.half_length}")
+        if not 0 < self.half_length < np.inf:
+            raise ValueError(f"half_length must be positive and finite, got {self.half_length}")
         m = self.point_count
         if m <= 0 or m % 2 != 0:
             raise ValueError(f"point_count must be a positive even integer, got {m}")
@@ -51,6 +51,10 @@ class Grid1D:
     def shape(self) -> tuple[int, ...]:
         return (self.point_count,)
 
+    @property
+    def axes(self) -> tuple[Grid1D, ...]:
+        return (self,)
+
 
 @dataclass(frozen=True)
 class Grid2D:
@@ -63,15 +67,9 @@ class Grid2D:
     def shape(self) -> tuple[int, ...]:
         return (self.grid_x.point_count, self.grid_z.point_count)
 
-    @cached_property
-    def kx(self) -> np.ndarray:
-        """x-wavenumbers broadcast over the 2D field shape."""
-        return self.grid_x.wavenumbers[:, None]
-
-    @cached_property
-    def kz(self) -> np.ndarray:
-        """z-wavenumbers broadcast over the 2D field shape."""
-        return self.grid_z.wavenumbers[None, :]
+    @property
+    def axes(self) -> tuple[Grid1D, ...]:
+        return (self.grid_x, self.grid_z)
 
     @cached_property
     def mesh(self) -> tuple[np.ndarray, np.ndarray]:
@@ -128,14 +126,6 @@ class Field:
         return Field(self.grid, -self.values)
 
 
-def _axis_grid(field: Field, axis: int) -> Grid1D:
-    if isinstance(field.grid, Grid1D):
-        if axis != 0:
-            raise ValueError("1D fields only have axis 0")
-        return field.grid
-    return (field.grid.grid_x, field.grid.grid_z)[axis]
-
-
 def _derivative_multiplier(grid: Grid1D, order: int) -> np.ndarray:
     k = grid.wavenumbers_no_nyquist if order % 2 == 1 else grid.wavenumbers
     return (1j * k) ** order
@@ -143,10 +133,7 @@ def _derivative_multiplier(grid: Grid1D, order: int) -> np.ndarray:
 
 def _multiply(field: Field, mult: np.ndarray, axis: int) -> Field:
     """Apply a 1D Fourier multiplier along `axis`; real fields stay real."""
-    if isinstance(field.grid, Grid2D):
-        shape = [1, 1]
-        shape[axis] = mult.size
-        mult = mult.reshape(shape)
+    mult = mult.reshape([-1 if a == axis else 1 for a in range(field.values.ndim)])
     out = np.fft.ifft(mult * np.fft.fft(field.values, axis=axis), axis=axis)
     if not field.is_complex:
         out = out.real
@@ -160,7 +147,10 @@ def derivative(field: Field, order: int, axis: int = 0) -> Field:
     """
     if order < 1:
         raise ValueError(f"order must be a positive integer, got {order}")
-    return _multiply(field, _derivative_multiplier(_axis_grid(field, axis), order), axis)
+    axes = field.grid.axes
+    if not 0 <= axis < len(axes):
+        raise ValueError(f"a {len(axes)}D field has no axis {axis}")
+    return _multiply(field, _derivative_multiplier(axes[axis], order), axis)
 
 
 def diff_matrix(grid: Grid1D, order: int) -> np.ndarray:

@@ -13,6 +13,7 @@ import scipy.sparse.linalg
 import travwave as tw
 from travwave.cli import (
     FLOAT_FMT,
+    ConfigError,
     _profile_template,
     build_factor,
     build_iteration_config,
@@ -20,6 +21,7 @@ from travwave.cli import (
     load_recipe,
     main,
     make_parser,
+    read_profile_csv,
     summary_payload,
     write_cross_sections,
     write_profile_csv,
@@ -232,6 +234,36 @@ class TestSpectrum:
         assert hyp["satisfied"] is False
         assert "unverified" in hyp["verdict"]
         assert "satisfied" not in hyp["verdict"]
+
+    @staticmethod
+    def stop_arnoldi_with(monkeypatch, pairs):
+        """ARPACK stops unconverged, with the first `pairs` of the pairs it finds."""
+        arpack = scipy.sparse.linalg.eigs
+
+        def unconverged(*args, **kwargs):
+            vals, vecs = arpack(*args, **kwargs)
+            raise scipy.sparse.linalg.ArpackNoConvergence("ARPACK error -1: No convergence",
+                                                          vals[:pairs], vecs[:, :pairs])
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigs", unconverged)
+
+    def test_partly_converged_arnoldi_is_reported_unverified(self, tmp_path, monkeypatch):
+        self.stop_arnoldi_with(monkeypatch, 3)  # of the 7 that spectrum_k = 6 asks for
+        out = tmp_path / "spec"
+        assert main(["spectrum", "--recipe", "table2", "--out", str(out)]) == 0
+        for name in ("spectrum_S.json", "spectrum_F.json"):
+            spec = json.loads((out / name).read_text())
+            assert spec["converged"] is False and spec["verified"] is False
+        hyp = json.loads((out / "hypothesis_report.json").read_text())
+        assert hyp["verdict"] == "eigenpairs of S and F' unverified; hypotheses not judged"
+
+    def test_arnoldi_without_a_converged_pair_exits_3(self, tmp_path, monkeypatch, capsys):
+        self.stop_arnoldi_with(monkeypatch, 0)
+        out = tmp_path / "spec"
+        assert main(["spectrum", "--recipe", "table2", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "runtime failure: RuntimeError: ARPACK did not converge: none of the 7 eigenpairs" in err
+        assert not (out / "spectrum_S.json").exists()
 
     @pytest.mark.parametrize("r", ["1", "2", "inf"])
     def test_norm_factor_spectra_verified_on_table2(self, tmp_path, r):
@@ -563,6 +595,27 @@ class TestRecipes:
         assert summary["status"] == "converged"
 
 
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+    @pytest.mark.parametrize("path", ["iteration.residual_tolerance", "iteration.divergence_guard",
+                                      "problem.grid.half_length", "seed.width"])
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, path, literal):
+        """Python's json reads NaN and Infinity, and 1e400 as inf: each is a
+        config error that names its key, raised before anything is solved."""
+        cfg = load_recipe("table2")
+        cfg["seed"] = {"kind": "gaussian", "amplitude": 1.0, "width": 2.0}
+        *blocks, key = path.split(".")
+        block = cfg
+        for name in blocks:
+            block = block[name]
+        block[key] = "VALUE"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(cfg).replace('"VALUE"', literal))
+        assert main(["solve", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert f"config error: {path}: expected a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "trace.csv").exists()
+
+
 class TestSummary:
     @staticmethod
     def legacy_iteration_config(cfg):
@@ -704,6 +757,42 @@ class TestBadProfiles:
         cfg["diagnostics"] = {"state": "file", "state_path": str(bad)}
         assert main(["spectrum", "--config", write_config(tmp_path, cfg)]) == 2
         assert "config error: diagnostics.state_path: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, key", [("solve", "seed.path"), ("spectrum", "diagnostics.state_path")])
+    def test_profile_from_another_grid_exits_2(self, tmp_path, capsys, command, key):
+        """A table2 profile written at half_length 50 has the 512 nodes of a
+        half_length 30 grid too, but not their coordinates."""
+        cfg = load_recipe("table2")
+        profile = tmp_path / "profile.csv"
+        write_profile_csv(profile, build_problem(cfg).exact_solution())
+        cfg["problem"]["grid"]["half_length"] = 30.0
+        if command == "solve":
+            cfg["seed"] = {"kind": "file", "path": str(profile)}
+        else:
+            cfg["diagnostics"] = {"state": "file", "state_path": str(profile)}
+        assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 2
+        assert f"config error: {key}: profile's x coordinates are not the nodes" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "summary.json").exists()
+
+    def test_lump_profile_coordinates_checked_on_both_axes(self, tmp_path):
+        cfg = lump_config(tmp_path / "x", points=8)
+        field = tw.gaussian_seed(build_problem(cfg).grid, 2.0, 2.0)
+        profile = tmp_path / "profile.csv"
+        write_profile_csv(profile, field)
+        assert np.array_equal(read_profile_csv(profile, build_problem(cfg)).values, field.values)
+        cfg["problem"]["grid"]["half_length_z"] *= 2
+        with pytest.raises(ConfigError, match="seed.path: profile's z coordinates are not the nodes"):
+            read_profile_csv(profile, build_problem(cfg))
+
+    def test_profile_without_coordinate_column_exits_2(self, tmp_path, capsys):
+        cfg = load_recipe("table2")
+        own = tmp_path / "profile.csv"
+        write_profile_csv(own, build_problem(cfg).exact_solution())
+        bare = tmp_path / "bare.csv"
+        bare.write_text("".join(line.split(",", 1)[1] + "\r\n" for line in own.read_text().splitlines()))
+        cfg["seed"] = {"kind": "file", "path": str(bare)}
+        assert main(["solve", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "is not a profile CSV with 'x', 're' and 'im' columns" in capsys.readouterr().err
 
     def test_ground_state_profile_layout(self, tmp_path, capsys):
         """The real ground state keeps its state in 're'.  A profile with the

@@ -22,6 +22,16 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid1D(l, m)
 
+    @pytest.mark.parametrize("l", [np.nan, np.inf, -np.inf])
+    def test_non_finite_half_length_rejected(self, l):
+        with pytest.raises(ValueError, match="half_length must be positive and finite"):
+            Grid1D(l, 8)
+
+    def test_axes_in_array_axis_order(self):
+        gx, gz = Grid1D(3.0, 8), Grid1D(np.pi, 6)
+        assert gx.axes == (gx,)
+        assert Grid2D(gx, gz).axes == (gx, gz)
+
     def test_field_shape_checked(self):
         g = Grid1D(1.0, 4)
         with pytest.raises(ValueError):
@@ -84,6 +94,12 @@ class TestDerivative:
         dz = derivative(f, 1, axis=1)
         assert np.max(np.abs(dx.values - np.cos(X) * np.cos(2 * Z))) < 1e-12
         assert np.max(np.abs(dz.values + 2 * np.sin(X) * np.sin(2 * Z))) < 1e-12
+
+    @pytest.mark.parametrize("grid, axis", [(Grid1D(np.pi, 8), 1), (Grid1D(np.pi, 8), -1),
+                                            (Grid2D(Grid1D(np.pi, 8), Grid1D(np.pi, 4)), 2)])
+    def test_missing_axis_rejected(self, grid, axis):
+        with pytest.raises(ValueError, match=f"has no axis {axis}"):
+            derivative(Field(grid, np.zeros(grid.shape)), 1, axis=axis)
 
 
 class TestDiffMatrix:
