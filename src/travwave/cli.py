@@ -422,22 +422,14 @@ def cmd_spectrum(cfg: dict, outdir: Path) -> int:
         state = result.final
 
     # one Arnoldi run: F' comes from S's top k + 1 by the rank-one identity
-    spec_S = diagnostics.iteration_matrix_spectrum(problem, state, k, seed=seed, spare=1)
+    spec_S = diagnostics.iteration_matrix_spectrum(problem, state, k, spare=1)
     spec_F = diagnostics.jacobian_spectrum(problem, factor, state, spec_S, k)
+    shift_check = diagnostics.spectrum_shift_check(problem, factor, state)
+    seed_vector = problem.linearization_space().to_vector(seed) if seed is not None else None
     _json_dump(outdir / "spectrum_S.json", spec_S.to_json_dict())
     _json_dump(outdir / "spectrum_F.json", spec_F.to_json_dict())
-
-    hypothesis = dict(spec_S.hypothesis or {})
-    unverified = [name for name, spec in (("S", spec_S), ("F'", spec_F)) if not spec.verified]
-    hypothesis["verdict"] = (
-        f"eigenpairs of {' and '.join(unverified)} unverified; hypotheses not judged"
-        if unverified
-        else "hypotheses (i)-(ii) satisfied" if hypothesis.get("satisfied")
-        else "hypothesis (ii) violated" if not hypothesis.get("ii_rest_within_unit_modulus", True)
-        else "hypothesis (i) violated"
-    )
-    hypothesis["spectrum_shift_check"] = diagnostics.spectrum_shift_check(problem, factor, state)
-    _json_dump(outdir / "hypothesis_report.json", hypothesis)
+    _json_dump(outdir / "hypothesis_report.json", diagnostics.hypothesis_verdicts(
+        spec_S, spec_F, shift_check, problem.degree, seed_vector))
     return 0
 
 

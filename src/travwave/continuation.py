@@ -27,6 +27,8 @@ class HomotopyPath:
         vals = tuple(float(v) for v in self.values)
         if len(vals) < 1:
             raise ValueError("path needs at least one parameter value")
+        if not all(abs(v) < math.inf for v in vals):  # NaN fails the comparison
+            raise ValueError(f"path values must be finite, got {vals}")
         diffs = [b - a for a, b in zip(vals, vals[1:])]
         if diffs and not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
             raise ValueError(f"path values must be strictly monotone, got {vals}")

@@ -69,7 +69,6 @@ class SpectrumReport:
     solver: str                      # always "arnoldi"; kept as a report key
     eigenvectors: np.ndarray         # columns; not serialized
     converged: bool = True
-    hypothesis: dict | None = None
     spare_pairs: tuple = ()          # (eigenvalue, eigenvector) past the top k; not serialized
 
     @property
@@ -92,7 +91,6 @@ class SpectrumReport:
             "solver": self.solver,
             "converged": self.converged,
             "verified": self.verified,
-            "hypothesis": self.hypothesis,
         }
 
 
@@ -155,15 +153,10 @@ def _report(action: Callable[[np.ndarray], np.ndarray], dimension: int, eigvals:
 
 
 def iteration_matrix_spectrum(problem: ProblemModel, u_star: Field, k: int,
-                              seed: Field | None = None, spare: int = 0) -> SpectrumReport:
-    """Top-k spectrum of S, with the hypothesis verdicts for the problem's degree
-    (and the seed's components in the unit-modulus eigenspaces, when given).
-    `spare` more Ritz pairs ride along for `jacobian_spectrum`."""
+                              spare: int = 0) -> SpectrumReport:
+    """Top-k spectrum of S; `spare` more Ritz pairs ride along for `jacobian_spectrum`."""
     action, space = s_operator(problem, u_star)
-    report = top_eigenvalues(action, space.dim, k, spare)
-    seed_vec = space.to_vector(seed) if seed is not None else None
-    report.hypothesis = hypothesis_verdicts(report, problem.degree, seed_vec)
-    return report
+    return top_eigenvalues(action, space.dim, k, spare)
 
 
 def jacobian_spectrum(problem: ProblemModel, factor: StabilizingFactor, u_star: Field,
@@ -214,19 +207,20 @@ def jacobian_spectrum(problem: ProblemModel, factor: StabilizingFactor, u_star: 
     return _report(action, space.dim, eigvals, eigvecs, k, spec_S.converged)
 
 
-def hypothesis_verdicts(report: SpectrumReport, p: float,
-                        seed_vector: np.ndarray | None = None) -> dict:
-    """Verdicts for the local-convergence hypotheses at the reported spectrum.
+def hypothesis_verdicts(spec_S: SpectrumReport, spec_F: SpectrumReport, shift_check: dict,
+                        p: float, seed_vector: np.ndarray | None = None) -> dict:
+    """The hypothesis report: the local-convergence hypotheses at S's spectrum.
 
     (i) the dominant eigenvalue equals the homogeneity degree p and is simple;
     (ii) every other eigenvalue has modulus at most 1 (+ tolerance);
     (iii) unit-modulus eigenvalues are numerically semisimple, and the seed
     component inside their eigenspace is quantified (a floating-point zero
     component is unattainable, so the report measures instead of asserting).
-    `satisfied` also requires the eigenpairs to pass the residual gate
-    (`SpectrumReport.verified`), which is recorded as `eigenpairs_verified`.
+    The verdict names the first of these to fail: the residual gates of S and
+    F' (`eigenpairs_verified`), the given `spectrum_shift_check`, (ii), (i);
+    `satisfied` is true exactly when none fails.
     """
-    lam = report.eigenvalues
+    lam = spec_S.eigenvalues
     dominant = lam[0]
     dominant_matches_p = bool(abs(dominant - p) <= 1e-3 * max(1.0, abs(p)))
     cluster = np.abs(lam - dominant) <= UNIT_TOL * max(1.0, abs(dominant))
@@ -234,12 +228,12 @@ def hypothesis_verdicts(report: SpectrumReport, p: float,
     others = lam[1:]
     others_within_unit = bool(np.all(np.abs(others) <= 1.0 + UNIT_TOL))
 
-    unit_idx = [i for i in range(len(lam)) if report.near_unit[i]]
+    unit_idx = [i for i in range(len(lam)) if spec_S.near_unit[i]]
     unit_entries = [{"eigenvalue": [float(lam[i].real), float(lam[i].imag)],
-                     "eigen_residual": float(report.residuals[i])} for i in unit_idx]
+                     "eigen_residual": float(spec_S.residuals[i])} for i in unit_idx]
     semisimple_proxy = None
     if unit_idx:
-        vecs = report.eigenvectors[:, unit_idx]
+        vecs = spec_S.eigenvectors[:, unit_idx]
         svals = np.linalg.svd(vecs, compute_uv=False)
         rank = int(np.count_nonzero(svals > 1e-6 * svals[0]))
         semisimple_proxy = {"cluster_size": len(unit_idx), "eigenvector_rank": rank,
@@ -250,11 +244,19 @@ def hypothesis_verdicts(report: SpectrumReport, p: float,
         seed_norm = float(np.linalg.norm(seed_vector))
         for i, entry in zip(unit_idx, unit_entries):
             cluster = [j for j in unit_idx if abs(lam[j] - lam[i]) <= 10 * UNIT_TOL]
-            q = _cluster_basis(report, cluster)
+            q = _cluster_basis(spec_S, cluster)
             comp = float(np.linalg.norm(q.conj().T @ seed_vector.astype(q.dtype)))
             entry["seed_component"] = comp
             entry["seed_component_relative"] = comp / seed_norm if seed_norm else np.nan
 
+    unverified = [name for name, spec in (("S", spec_S), ("F'", spec_F)) if not spec.verified]
+    verdict = (
+        f"eigenpairs of {' and '.join(unverified)} unverified; hypotheses not judged" if unverified
+        else "spectrum shift check failed; hypotheses not judged" if not shift_check["ok"]
+        else "hypothesis (ii) violated" if not others_within_unit
+        else "hypothesis (i) violated" if not (dominant_matches_p and dominant_simple)
+        else "hypotheses (i)-(ii) satisfied"
+    )
     return {
         "dominant_eigenvalue": [float(dominant.real), float(dominant.imag)],
         "p": float(p),
@@ -264,9 +266,10 @@ def hypothesis_verdicts(report: SpectrumReport, p: float,
         "ii_rest_within_unit_modulus": others_within_unit,
         "iii_unit_modulus_eigenvalues": unit_entries,
         "iii_semisimple_proxy": semisimple_proxy,
-        "eigenpairs_verified": report.verified,
-        "satisfied": (report.verified and dominant_matches_p and dominant_simple
-                      and others_within_unit),
+        "eigenpairs_verified": not unverified,
+        "satisfied": verdict == "hypotheses (i)-(ii) satisfied",
+        "verdict": verdict,
+        "spectrum_shift_check": shift_check,
     }
 
 

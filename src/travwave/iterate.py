@@ -44,10 +44,11 @@ class IterationConfig:
             raise ValueError(f"max_iterations must be an integer, got {self.max_iterations!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.residual_tolerance <= 0 or self.factor_tolerance <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.divergence_guard <= 1:
-            raise ValueError("divergence_guard must exceed 1")
+        for name in ("residual_tolerance", "factor_tolerance"):
+            if not 0 < getattr(self, name) < np.inf:  # NaN fails every comparison
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
+        if not 1 < self.divergence_guard < np.inf:
+            raise ValueError(f"divergence_guard must be finite and exceed 1, got {self.divergence_guard!r}")
         if self.stop_rule not in ("residual", "residual_and_factor"):
             raise ValueError(f"unknown stop_rule {self.stop_rule!r}")
 

@@ -357,10 +357,10 @@ def _fourier_model(fs: FourierSymbol, **fields) -> ProblemModel:
 
 def gaussian_seed(grid: Grid, amplitude: float, width: float, antisymmetric: bool = False) -> Field:
     """Gaussian initial iterate A*exp(-|x|^2/w^2) at the nodes x, times x when antisymmetric (1D)."""
-    if amplitude == 0:
-        raise ValueError("amplitude must be nonzero")
-    if width <= 0:
-        raise ValueError(f"width must be positive, got {width}")
+    if not 0 < abs(amplitude) < np.inf:  # NaN fails every comparison
+        raise ValueError(f"amplitude must be finite and nonzero, got {amplitude}")
+    if not 0 < width < np.inf:
+        raise ValueError(f"width must be positive and finite, got {width}")
     if antisymmetric and len(grid.axes) > 1:
         raise ValueError("antisymmetric seeds are 1D only")
     mesh = np.meshgrid(*(axis.nodes for axis in grid.axes), indexing="ij")

@@ -331,15 +331,37 @@ class TestSpectrum:
         spec = json.loads((out / "spectrum_F.json").read_text())
         hyp = json.loads((out / "hypothesis_report.json").read_text())
         assert sum(abs(complex(*z) - 0.5) <= 1e-9 for z in spec["eigenvalues"]) == 2
-        assert hyp["eigenpairs_verified"] is True  # S's own report
+        assert json.loads((out / "spectrum_S.json").read_text())["verified"] is True
         assert hyp["spectrum_shift_check"]["ok"]
         if descriptor.startswith("petviashvili"):
             assert spec["verified"] is True
+            assert hyp["eigenpairs_verified"] is True
+            assert hyp["satisfied"] is True
             assert hyp["verdict"] == "hypotheses (i)-(ii) satisfied"
         else:
             assert spec["verified"] is False
             assert max(spec["eigen_residuals"]) > 1e-2
+            assert hyp["eigenpairs_verified"] is False  # F' fails the gate, S passes it
+            assert hyp["satisfied"] is False
             assert hyp["verdict"] == "eigenpairs of F' unverified; hypotheses not judged"
+
+    def test_diverged_solve_is_not_judged(self, tmp_path):
+        """A diverged state says nothing about a traveling wave: its spectra
+        pass the residual gate, but F' u* = (p+q) u* fails, and the verdict
+        says so instead of judging (ii); divergence still exits 0."""
+        out = tmp_path / "div"
+        cfg = soliton_config(out)
+        cfg["factor"] = {"descriptor": "petviashvili:1.8"}
+        cfg["seed"] = {"kind": "gaussian", "amplitude": 1e-4, "width": 1.0}
+        cfg["iteration"] = {"max_iterations": 30, "residual_tolerance": 1e-13,
+                            "divergence_guard": 1e6}
+        cfg["diagnostics"] = {"state": "solve"}
+        assert main(["spectrum", "--config", write_config(tmp_path, cfg)]) == 0
+        assert json.loads((out / "summary.json").read_text())["status"] == "diverged"
+        hyp = json.loads((out / "hypothesis_report.json").read_text())
+        assert hyp["spectrum_shift_check"]["ok"] is False
+        assert hyp["verdict"] == "spectrum shift check failed; hypotheses not judged"
+        assert hyp["satisfied"] is False
 
     def test_even_inner_factor_at_the_odd_state_exits_3(self, tmp_path, capsys):
         """<N(u*), u*^2> cancels to rounding at the antisymmetric state: the

@@ -53,6 +53,12 @@ class TestHomotopyPath:
         with pytest.raises(ValueError):
             tw.HomotopyPath(values=(0.0, 0.1), max_bisections=value)
 
+    @pytest.mark.parametrize("values", [(float("nan"),), (0.0, float("inf")),
+                                        (float("-inf"), 0.0), (0.0, float("nan"), 0.2)])
+    def test_non_finite_values_rejected(self, values):
+        with pytest.raises(ValueError, match="values must be finite"):
+            tw.HomotopyPath(values=values)
+
     def test_single_value_allowed(self):
         path = tw.HomotopyPath(values=(0.3,))
         assert path.values == (0.3,)

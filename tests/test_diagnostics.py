@@ -5,7 +5,8 @@ import pytest
 import scipy.linalg
 
 import travwave as tw
-from travwave.diagnostics import RESIDUAL_TOL, f_operator, hypothesis_verdicts, s_operator
+from travwave.diagnostics import (RESIDUAL_TOL, UNIT_TOL, SpectrumReport, f_operator,
+                                  hypothesis_verdicts, s_operator)
 from travwave.factors import F_MAPS, DegenerateDenominatorError
 from travwave.linops import assemble_matrix, real_inner
 from travwave.spectral import Field, Grid1D
@@ -408,37 +409,90 @@ class TestSpectrumShift:
         assert shift_law_deviation(spec_S, 3.0, factor.degree, spec_F.eigenvalues) <= 1e-4
 
 
+def hypothesis_report(problem, u_star, seed=None, k=6):
+    """The hypothesis report at u* under the optimal Petviashvili factor, built
+    from S, F' and the shift check as the `spectrum` command builds it."""
+    factor = tw.petviashvili_factor("optimal", problem)
+    spec_S = tw.iteration_matrix_spectrum(problem, u_star, k, spare=1)
+    spec_F = tw.jacobian_spectrum(problem, factor, u_star, spec_S, k)
+    seed_vector = None if seed is None else problem.linearization_space().to_vector(seed)
+    return hypothesis_verdicts(spec_S, spec_F, tw.spectrum_shift_check(problem, factor, u_star),
+                               problem.degree, seed_vector)
+
+
+def synthetic_report(eigenvalues, verified=True):
+    """A report on the given eigenvalues with orthonormal eigenvectors, its
+    residuals on the passing or the failing side of the residual gate."""
+    lam = np.asarray(eigenvalues, dtype=complex)
+    residual = RESIDUAL_TOL / 10 if verified else RESIDUAL_TOL * 10
+    return SpectrumReport(eigenvalues=lam, residuals=np.full(lam.size, residual),
+                          near_unit=np.abs(np.abs(lam) - 1.0) <= UNIT_TOL, dimension=10,
+                          k=lam.size, solver="arnoldi", eigenvectors=np.eye(10, lam.size))
+
+
+SATISFIED = "hypotheses (i)-(ii) satisfied"
+
+
 class TestHypotheses:
     def test_soliton_report_satisfied_with_unit_pair(self, soliton_problem, soliton_exact):
-        spec = tw.iteration_matrix_spectrum(soliton_problem, soliton_exact, 6)
-        h = spec.hypothesis
+        h = hypothesis_report(soliton_problem, soliton_exact)
         assert h["satisfied"]
+        assert h["verdict"] == SATISFIED
         assert h["i_dominant_is_p_and_simple"]
         assert h["ii_rest_within_unit_modulus"]
         assert len(h["iii_unit_modulus_eigenvalues"]) == 2
         assert h["iii_semisimple_proxy"]["independent"]
 
     def test_antisymmetric_state_violates_ii(self, double_well_problem, antisymmetric_state):
-        spec = tw.iteration_matrix_spectrum(double_well_problem, antisymmetric_state, 6)
-        assert not spec.hypothesis["ii_rest_within_unit_modulus"]
-        assert not spec.hypothesis["satisfied"]
+        h = hypothesis_report(double_well_problem, antisymmetric_state)
+        assert not h["ii_rest_within_unit_modulus"]
+        assert not h["satisfied"]
+        assert h["verdict"] == "hypothesis (ii) violated"
 
     def test_seed_component_quantified(self, soliton_problem, soliton_exact):
         gen = tw.derivative(soliton_exact, 1)
         seed = soliton_exact + 0.2 * gen
-        spec = tw.iteration_matrix_spectrum(soliton_problem, soliton_exact, 6, seed=seed)
-        comps = [e["seed_component"] for e in spec.hypothesis["iii_unit_modulus_eigenvalues"]]
+        h = hypothesis_report(soliton_problem, soliton_exact, seed=seed)
+        comps = [e["seed_component"] for e in h["iii_unit_modulus_eigenvalues"]]
         # the 0.2*D u* component projects onto the unit invariant subspace
         assert max(comps) == pytest.approx(0.2 * gen.norm, rel=1e-3)
-        clean = tw.iteration_matrix_spectrum(soliton_problem, soliton_exact, 6,
-                                             seed=soliton_exact)
-        pure = [e["seed_component"] for e in clean.hypothesis["iii_unit_modulus_eigenvalues"]]
+        clean = hypothesis_report(soliton_problem, soliton_exact, seed=soliton_exact)
+        pure = [e["seed_component"] for e in clean["iii_unit_modulus_eigenvalues"]]
         assert max(pure) <= 1e-6 * soliton_exact.norm
 
     def test_identity_unit_cluster_flagged(self):
         report = tw.top_eigenvalues(lambda v: v, dimension=30, k=4)
         assert all(report.near_unit)
-        assert not hypothesis_verdicts(report, 1.0)["i_dominant_simple"]
+        h = hypothesis_verdicts(report, report, {"ok": True}, 1.0)
+        assert not h["i_dominant_simple"]
+        assert h["verdict"] == "hypothesis (i) violated"
+
+    @pytest.mark.parametrize("S_eigs, S_ok, F_ok, shift_ok, verdict", [
+        ([3, 1, 0.5], False, True, True, "eigenpairs of S unverified; hypotheses not judged"),
+        ([3, 1, 0.5], True, False, True, "eigenpairs of F' unverified; hypotheses not judged"),
+        ([3, 1, 0.5], False, False, True, "eigenpairs of S and F' unverified; hypotheses not judged"),
+        ([3, -1.5, 0.5], True, False, False, "eigenpairs of F' unverified; hypotheses not judged"),
+        ([3, 1, 0.5], True, True, False, "spectrum shift check failed; hypotheses not judged"),
+        ([2.5, -1.5, 0.5], True, True, False, "spectrum shift check failed; hypotheses not judged"),
+        ([2.5, 1, 0.5], True, True, True, "hypothesis (i) violated"),
+        ([3, 3, 0.5], True, True, True, "hypothesis (ii) violated"),
+        ([2.5, -1.5, 0.5], True, True, True, "hypothesis (ii) violated"),
+        ([3, 1, 0.5], True, True, True, SATISFIED),
+    ])
+    def test_judgment_table(self, S_eigs, S_ok, F_ok, shift_ok, verdict):
+        """The verdict names the first failing check, in the order: residual
+        gates, shift check, (ii), (i); `satisfied` and `eigenpairs_verified`
+        rest on the same checks."""
+        spec_S = synthetic_report(S_eigs, S_ok)
+        spec_F = synthetic_report([-0.5, 1, 0.5], F_ok)  # p + q = -0.5 replaces p = 3
+        shift_check = {"ok": shift_ok, "fixed_point_residual": 0.0 if shift_ok else 1.0,
+                       "tolerance": 1e-4}
+        h = hypothesis_verdicts(spec_S, spec_F, shift_check, 3.0)
+        assert h["verdict"] == verdict
+        assert h["satisfied"] == (h["verdict"] == SATISFIED)
+        assert h["eigenpairs_verified"] == (spec_S.verified and spec_F.verified) == (S_ok and F_ok)
+        assert h["spectrum_shift_check"] == shift_check
+        json.dumps(h)  # the payload is hypothesis_report.json as written
 
 
 class TestSymmetryGenerators:
@@ -588,7 +642,10 @@ class TestSerialization:
         assert payload["dimension"] == 8
         assert payload["solver"] == "arnoldi"
         assert len(payload["eigenvalues"]) == 4
-        assert payload["hypothesis"]["p"] == 2.0
+        assert "hypothesis" not in payload  # the judgment is hypothesis_report.json alone
+        verdicts = json.loads(json.dumps(hypothesis_verdicts(report, report, {"ok": True},
+                                                             problem.degree)))
+        assert verdicts["p"] == 2.0
 
     def test_orbit_fit_round_trips_json(self, soliton_converged, soliton_problem):
         fit = tw.orbit_match(soliton_converged.final, soliton_problem.exact_solution)

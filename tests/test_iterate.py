@@ -332,6 +332,15 @@ class TestResidual:
         with pytest.raises(ValueError):
             tw.IterationConfig(divergence_guard=0.5)
 
+    @pytest.mark.parametrize("field, value", [
+        (field, value) for field in ("residual_tolerance", "factor_tolerance")
+        for value in (float("nan"), float("inf"), 0.0)
+    ] + [("divergence_guard", value) for value in (float("nan"), float("inf"), 1.0)])
+    def test_non_finite_or_out_of_range_numbers_rejected(self, field, value):
+        """A NaN tolerance never stops the loop, and a NaN guard never fires."""
+        with pytest.raises(ValueError, match=field):
+            tw.IterationConfig(**{field: value})
+
     @pytest.mark.parametrize("value", [2.5, True, None])
     def test_max_iterations_must_be_an_integer(self, value):
         with pytest.raises(ValueError, match="max_iterations"):

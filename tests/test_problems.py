@@ -260,3 +260,13 @@ class TestGaussianSeed:
             tw.gaussian_seed(g, 0.0, 1.0)
         with pytest.raises(ValueError):
             tw.gaussian_seed(g, 1.0, -1.0)
+
+    @pytest.mark.parametrize("field, amplitude, width", [
+        ("amplitude", float("nan"), 1.0), ("amplitude", float("inf"), 1.0),
+        ("amplitude", float("-inf"), 1.0), ("width", 1.0, float("nan")),
+        ("width", 1.0, float("inf")),
+    ])
+    def test_non_finite_arguments_rejected(self, field, amplitude, width):
+        """An all-NaN seed is never a start."""
+        with pytest.raises(ValueError, match=field):
+            tw.gaussian_seed(Grid1D(1.0, 4), amplitude, width)
