@@ -409,12 +409,12 @@ class TestSpectrumShift:
         assert shift_law_deviation(spec_S, 3.0, factor.degree, spec_F.eigenvalues) <= 1e-4
 
 
-def hypothesis_report(problem, u_star, seed=None, k=6):
+def hypothesis_report(problem, u_star, seed=None):
     """The hypothesis report at u* under the optimal Petviashvili factor, built
     from S, F' and the shift check as the `spectrum` command builds it."""
     factor = tw.petviashvili_factor("optimal", problem)
-    spec_S = tw.iteration_matrix_spectrum(problem, u_star, k, spare=1)
-    spec_F = tw.jacobian_spectrum(problem, factor, u_star, spec_S, k)
+    spec_S = tw.iteration_matrix_spectrum(problem, u_star, 6, spare=1)
+    spec_F = tw.jacobian_spectrum(problem, factor, u_star, spec_S, 6)
     seed_vector = None if seed is None else problem.linearization_space().to_vector(seed)
     return hypothesis_verdicts(spec_S, spec_F, tw.spectrum_shift_check(problem, factor, u_star),
                                problem.degree, seed_vector)
