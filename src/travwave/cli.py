@@ -336,9 +336,10 @@ def _json_dump(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def summary_payload(seed: dict | None, problem, factor, result: SolveResult, engine: str,
+def summary_payload(seed: dict | None, factor, result: SolveResult, engine: str,
                     itconfig: IterationConfig) -> dict:
     tr = result.trace
+    problem = factor.problem
     axes = problem.grid.axes
     grid_meta = dict(zip(GRID_2D if len(axes) == 2 else GRID_1D,
                          [n for axis in axes for n in (axis.half_length, axis.point_count)]))
@@ -364,28 +365,35 @@ def summary_payload(seed: dict | None, problem, factor, result: SolveResult, eng
 # commands
 
 
-def _run_engine(engine: str, problem, factor, seed: Field, itconfig: IterationConfig) -> SolveResult:
+def _run_engine(engine: str, factor, seed: Field, itconfig: IterationConfig) -> SolveResult:
     if engine == "newton":
-        return newton_solve(problem, seed, itconfig)
-    return solve(problem, factor, seed, itconfig)
+        return newton_solve(factor.problem, seed, itconfig)
+    return solve(factor.problem, factor, seed, itconfig)
 
 
-def _solve_outputs(outdir: Path, seed: dict | None, problem, factor, result: SolveResult, engine: str,
-                   itconfig: IterationConfig) -> None:
-    write_trace_csv(outdir / "trace.csv", result)
-    write_profile_csv(outdir / "profile.csv", result.final)
-    if len(problem.grid.axes) == 2:
-        write_cross_sections(outdir, result.final)
-    _json_dump(outdir / "summary.json", summary_payload(seed, problem, factor, result, engine, itconfig))
+def _write_runs(outdir: Path, runs: list, engine: str, itconfig: IterationConfig) -> list[dict]:
+    """Each run (name, seed record, factor, result, index entry) written into
+    `outdir / name`: trace, profile, a 2D profile's cross-sections and the
+    summary.  Returns the index entries, each with its directory and status."""
+    index = []
+    for name, seed, factor, result, entry in runs:
+        sub = outdir / name
+        sub.mkdir(parents=True, exist_ok=True)
+        write_trace_csv(sub / "trace.csv", result)
+        write_profile_csv(sub / "profile.csv", result.final)
+        if len(result.final.grid.axes) == 2:
+            write_cross_sections(sub, result.final)
+        _json_dump(sub / "summary.json", summary_payload(seed, factor, result, engine, itconfig))
+        index.append({"directory": name, "status": result.status, **entry})
+    return index
 
 
 def cmd_solve(cfg: dict, outdir: Path) -> int:
     problem = build_problem(cfg)
     factor = build_factor(cfg, problem)
     itconfig, engine = _iteration(cfg)
-    seed = build_seed(cfg, problem)
-    result = _run_engine(engine, problem, factor, seed, itconfig)
-    _solve_outputs(outdir, cfg.get("seed"), problem, factor, result, engine, itconfig)
+    result = _run_engine(engine, factor, build_seed(cfg, problem), itconfig)
+    _write_runs(outdir, [("", cfg.get("seed"), factor, result, {})], engine, itconfig)
     return 0
 
 
@@ -414,17 +422,19 @@ def cmd_spectrum(cfg: dict, outdir: Path) -> int:
     else:
         if seed is None:
             raise ConfigError("missing field seed")
-        result = _run_engine(engine, problem, factor, seed, itconfig)
-        _solve_outputs(outdir, cfg.get("seed"), problem, factor, result, engine, itconfig)
+        result = _run_engine(engine, factor, seed, itconfig)
+        _write_runs(outdir, [("", cfg.get("seed"), factor, result, {})], engine, itconfig)
         if result.status == COLLAPSED:
             raise RuntimeError(f"the {engine} solve collapsed to the trivial state u = 0; "
                                "its spectra say nothing about a traveling wave")
         state = result.final
 
-    # one Arnoldi run: F' comes from S's top k + 1 by the rank-one identity
+    # one Arnoldi run: F' comes from S's top k + 1 by the rank-one identity,
+    # and one factor gradient at u* serves F' and the shift check
     spec_S = diagnostics.iteration_matrix_spectrum(problem, state, k, spare=1)
-    spec_F = diagnostics.jacobian_spectrum(problem, factor, state, spec_S, k)
-    shift_check = diagnostics.spectrum_shift_check(problem, factor, state)
+    grad = factor.gradient(state)
+    spec_F = diagnostics.jacobian_spectrum(problem, factor, state, spec_S, k, grad=grad)
+    shift_check = diagnostics.spectrum_shift_check(problem, factor, state, grad=grad)
     seed_vector = problem.linearization_space().to_vector(seed) if seed is not None else None
     _json_dump(outdir / "spectrum_S.json", spec_S.to_json_dict())
     _json_dump(outdir / "spectrum_F.json", spec_F.to_json_dict())
@@ -443,34 +453,22 @@ def cmd_continue(cfg: dict, outdir: Path) -> int:
         raise ConfigError("problem.family: only benjamin_lump supports Gamma continuation")
 
     def family(gamma: float):
-        return build_problem({**cfg, "problem": {**cfg["problem"], "Gamma": gamma}})
+        stage_cfg = {**cfg, "problem": {**cfg["problem"], "Gamma": gamma}}
+        return build_factor(stage_cfg, build_problem(stage_cfg))
 
     for value in path.values:
-        family(value)  # a value outside the family is a config error before any stage is solved
-    build_factor(cfg, base_problem)  # so is a bad descriptor; the stages get it as written, gamma unrounded
-    seed = build_seed(cfg, base_problem)
-    res = continue_solve(family, path, seed, cfg["factor"]["descriptor"], itconfig)
-    stage_index = []
+        family(value)  # a bad value or descriptor is a config error before any stage is solved
+    res = continue_solve(family, path, build_seed(cfg, base_problem), itconfig)
+    runs = []
     for i, stage in enumerate(res.stages):
-        sub = outdir / f"stage_{i:03d}_gamma_{stage.parameter_value:.6f}"
-        sub.mkdir(parents=True, exist_ok=True)
-        record = ({"kind": "warm_start", "from_stage": stage.seeded_from[0]} if len(stage.seeded_from) == 1
-                  else {"kind": "extrapolated", "from_stages": list(stage.seeded_from)} if stage.seeded_from
-                  else cfg.get("seed"))
-        _solve_outputs(sub, record, stage.factor.problem, stage.factor, stage.result, engine, itconfig)
-        stage_index.append({
-            "directory": sub.name,
-            "Gamma": stage.parameter_value,
-            "requested": stage.requested,
-            "status": stage.result.status,
-            "iterations": stage.result.trace.iteration_count,
-            "final_residual": stage.result.trace.final_residual,
-        })
-    _json_dump(outdir / "continuation.json", {
-        "completed": res.completed,
-        "failed_at": res.failed_at,
-        "stages": stage_index,
-    })
+        basis, trace = stage.seeded_from, stage.result.trace
+        record = ({"kind": "warm_start", "from_stage": basis[0]} if len(basis) == 1
+                  else {"kind": "extrapolated", "from_stages": list(basis)} if basis else cfg.get("seed"))
+        runs.append((f"stage_{i:03d}_gamma_{stage.parameter_value:.6f}", record, stage.factor, stage.result,
+                     {"Gamma": stage.parameter_value, "requested": stage.requested,
+                      "iterations": trace.iteration_count, "final_residual": trace.final_residual}))
+    _json_dump(outdir / "continuation.json", {"completed": res.completed, "failed_at": res.failed_at,
+                                              "stages": _write_runs(outdir, runs, engine, itconfig)})
     return 0
 
 
@@ -492,15 +490,13 @@ def cmd_orbital(cfg: dict, outdir: Path) -> int:
                               f"both write {name}: their eps values print alike under %g")
         runs[name] = i, run
 
-    index = []
-    for name, (_, run) in runs.items():
-        result = _run_engine(engine, problem, factor, _perturbed_exact(problem, **run), itconfig)
-        sub = outdir / name
-        sub.mkdir(parents=True, exist_ok=True)
-        _solve_outputs(sub, {"kind": "exact_perturbed", **run}, problem, factor, result, engine, itconfig)
+    solved = [(name, {"kind": "exact_perturbed", **run}, factor,
+               _run_engine(engine, factor, _perturbed_exact(problem, **run), itconfig), run)
+              for name, (_, run) in runs.items()]
+    index = _write_runs(outdir, solved, engine, itconfig)
+    for name, _, _, result, run in solved:
         fit = diagnostics.orbit_match(result.final, problem.exact_solution)
-        _json_dump(sub / "orbitfit.json", {**fit.to_json_dict(), **run, "status": result.status})
-        index.append({"directory": name, **run, "status": result.status})
+        _json_dump(outdir / name / "orbitfit.json", {**fit.to_json_dict(), **run, "status": result.status})
     _json_dump(outdir / "orbital.json", {"experiments": index})
     return 0
 

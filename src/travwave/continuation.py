@@ -1,6 +1,6 @@
-"""Homotopy continuation: step a model parameter along a monotone path, seeding
-each stage by extrapolating the last converged profiles; bisect the step on
-failure.
+"""Homotopy continuation: step a parameter of a factor family along a monotone
+path, seeding each stage by extrapolating the last converged profiles; bisect
+the step on failure.
 """
 
 from __future__ import annotations
@@ -10,9 +10,8 @@ from dataclasses import dataclass, field as dataclass_field
 from numbers import Integral
 from typing import Callable
 
-from .factors import StabilizingFactor, from_descriptor
+from .factors import StabilizingFactor
 from .iterate import CONVERGED, IterationConfig, SolveResult, solve
-from .problems import ProblemModel
 from .spectral import Field
 
 
@@ -67,17 +66,16 @@ def _extrapolate(stages: list[StageResult], value: float) -> Field:
     return sum(terms[1:], terms[0])
 
 
-def continue_solve(model_family: Callable[[float], ProblemModel], path: HomotopyPath,
-                   seed: Field, descriptor: str, config: IterationConfig | None = None) -> ContinuationResult:
+def continue_solve(factor_family: Callable[[float], StabilizingFactor], path: HomotopyPath,
+                   seed: Field, config: IterationConfig | None = None) -> ContinuationResult:
     """Solve the family along the path.  The first stage starts from `seed`,
     each later one from the extrapolation of the last (at most three) converged
     stages to its own value: a warm start, then the secant, then the quadratic.
 
-    `model_family` maps a parameter value to a ProblemModel; each stage builds
-    its own factor from the factor `descriptor`, since factors bind to their
-    problem.  On a stage failure, the step from the last converged value is
-    bisected up to `path.max_bisections` levels; if the target still fails,
-    the partial results are returned flagged.
+    `factor_family` maps a parameter value to that stage's factor, which
+    carries the stage's problem (`factor.problem`).  On a stage failure, the
+    step from the last converged value is bisected up to `path.max_bisections`
+    levels; if the target still fails, the partial results are returned flagged.
     """
     cfg = config or IterationConfig()
     out = ContinuationResult()
@@ -85,9 +83,8 @@ def continue_solve(model_family: Callable[[float], ProblemModel], path: Homotopy
     def attempt(value: float, requested: bool) -> bool:
         basis = out.stages[-3:]
         start = _extrapolate(basis, value) if basis else seed
-        problem = model_family(value)
-        factor = from_descriptor(descriptor, problem)
-        result = solve(problem, factor, start, cfg)
+        factor = factor_family(value)
+        result = solve(factor.problem, factor, start, cfg)
         if result.status != CONVERGED:
             return False
         out.stages.append(StageResult(value, result, requested, factor,

@@ -160,7 +160,8 @@ def iteration_matrix_spectrum(problem: ProblemModel, u_star: Field, k: int,
 
 
 def jacobian_spectrum(problem: ProblemModel, factor: StabilizingFactor, u_star: Field,
-                      spec_S: SpectrumReport, k: int) -> SpectrumReport:
+                      spec_S: SpectrumReport, k: int,
+                      grad: Callable[[Field, Field], float] | None = None) -> SpectrumReport:
     """Top-k spectrum of F'(u*), derived from `spec_S`, the top k + 1 (or
     more) of S, without an eigensolver run of its own.
 
@@ -173,13 +174,14 @@ def jacobian_spectrum(problem: ProblemModel, factor: StabilizingFactor, u_star: 
     vector is u*.  At a resonance, |lam - mu| <= RESIDUAL_TOL max(1, |lam|)
     (closer than the residual gate resolves), c is 0: a Jordan block (grad s(u*).v != 0) then shows as a
     large residual instead of a division by about 0.  Every pair kept is
-    measured through `f_operator`.
+    measured through `f_operator` (`grad` passes `factor.gradient(u_star)`
+    when the caller has it).
     """
     pairs = [*zip(spec_S.eigenvalues, spec_S.eigenvectors.T), *spec_S.spare_pairs]
     if spec_S.converged and len(pairs) <= k:
         raise ValueError(f"the top {k} of F' needs the top {k + 1} of S, got {len(pairs)}")
     p, q = problem.degree, factor.degree
-    grad = factor.gradient(u_star)
+    grad = factor.gradient(u_star) if grad is None else grad
     action, space = f_operator(problem, factor, u_star, grad)
     u_vec = space.to_vector(u_star)
     u_norm = np.linalg.norm(u_vec)
@@ -260,7 +262,6 @@ def hypothesis_verdicts(spec_S: SpectrumReport, spec_F: SpectrumReport, shift_ch
     return {
         "dominant_eigenvalue": [float(dominant.real), float(dominant.imag)],
         "p": float(p),
-        "i_dominant_is_p_and_simple": dominant_matches_p and dominant_simple,
         "i_dominant_matches_p": dominant_matches_p,
         "i_dominant_simple": dominant_simple,
         "ii_rest_within_unit_modulus": others_within_unit,
@@ -281,15 +282,16 @@ def _cluster_basis(report: SpectrumReport, indices: list[int]) -> np.ndarray:
 
 
 def spectrum_shift_check(problem: ProblemModel, factor: StabilizingFactor, u_star: Field,
-                         tol: float = 1e-4) -> dict:
+                         tol: float = 1e-4, grad: Callable[[Field, Field], float] | None = None) -> dict:
     """The eigenrelation F' u* = (p+q) u* that the shift law
     spec F' = (spec S \\ {p}) u {p+q} rests on, measured through `f_operator`.
 
     `jacobian_spectrum` derives the rest of spec F' from spec S by the
     rank-one identity, so this is the one relation it takes on trust.  `ok`
-    requires ||F' u* - (p+q) u*|| / ||u*|| to be at most tol.
+    requires ||F' u* - (p+q) u*|| / ||u*|| to be at most tol; `grad` is as
+    in `f_operator`.
     """
-    action, space = f_operator(problem, factor, u_star)
+    action, space = f_operator(problem, factor, u_star, grad)
     u_vec = space.to_vector(u_star)
     lam = problem.degree + factor.degree
     residual = float(np.linalg.norm(action(u_vec) - lam * u_vec) / np.linalg.norm(u_vec))

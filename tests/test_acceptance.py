@@ -29,7 +29,7 @@ def lump_continuation(lump_grid_128):
     cfg = tw.IterationConfig(max_iterations=2000, residual_tolerance=1e-11)
     path = tw.HomotopyPath(values=(0.0, 0.1, 0.2, 0.3, 0.4, 0.5))
     seed = tw.gaussian_seed(lump_grid_128, 2.0, 2.0)
-    result = tw.continue_solve(family, path, seed, "petviashvili:optimal", cfg)
+    result = tw.continue_solve(lambda g: tw.from_descriptor("petviashvili:optimal", family(g)), path, seed, cfg)
     assert result.completed
     return family, result
 

@@ -536,6 +536,36 @@ class TestOrbital:
         assert "iteration.engine" in capsys.readouterr().err
 
 
+class TestRunIndexes:
+    """Each index entry names a run directory, and that run's summary agrees with it."""
+
+    @staticmethod
+    def summaries(out, entries):
+        assert sorted(p.name for p in out.iterdir() if p.is_dir()) == sorted(e["directory"] for e in entries)
+        pairs = [(e, json.loads((out / e["directory"] / "summary.json").read_text())) for e in entries]
+        for entry, summary in pairs:
+            assert summary["status"] == entry["status"]
+        return pairs
+
+    def test_continuation_index_matches_stage_summaries(self, tmp_path):
+        out = tmp_path / "cont"
+        assert main(["continue", "--config", write_config(tmp_path, lump_config(out, points=32))]) == 0
+        pairs = self.summaries(out, json.loads((out / "continuation.json").read_text())["stages"])
+        assert [entry["Gamma"] for entry, _ in pairs] == [0.0, 0.1]
+        for entry, summary in pairs:
+            assert summary["iterations"] == entry["iterations"]
+            assert summary["final_residual"] == entry["final_residual"]
+            assert summary["problem"]["Gamma"] == entry["Gamma"]
+
+    def test_orbital_index_matches_run_summaries(self, tmp_path):
+        out = tmp_path / "orb"
+        assert main(["orbital", "--recipe", "fig67", "--out", str(out)]) == 0
+        pairs = self.summaries(out, json.loads((out / "orbital.json").read_text())["experiments"])
+        assert len(pairs) == len(load_recipe("fig67")["orbital"]["experiments"])
+        for entry, summary in pairs:
+            assert summary["seed"] == {"kind": "exact_perturbed", "eps1": entry["eps1"], "eps2": entry["eps2"]}
+
+
 class TestRecipes:
     @pytest.mark.parametrize("name", RECIPES)
     def test_recipes_parse_and_build(self, name):
@@ -659,7 +689,7 @@ class TestSummary:
         seed = tw.gaussian_seed(problem.grid, 1.0, 2.0)
         result = tw.solve(problem, factor, problem.project_pinned(seed),
                           tw.IterationConfig(max_iterations=1))
-        payload = summary_payload(cfg.get("seed"), problem, factor, result, "stabilized",
+        payload = summary_payload(cfg.get("seed"), factor, result, "stabilized",
                                   build_iteration_config(cfg))
         legacy = dict(payload, iteration_config=self.legacy_iteration_config(cfg))
         assert (json.dumps(payload, indent=2, sort_keys=True)

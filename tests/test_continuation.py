@@ -36,6 +36,11 @@ ROTATION_SEED = Field(Grid1D(1.0, 2), np.array([1.0, 0.0]))
 ROTATION_FACTOR = "petviashvili:1.8"  # non-integer: negative ratios abort the stage
 
 
+def factors_of(family, descriptor="petviashvili:optimal"):
+    """The factor family of a model family: each stage's factor from one descriptor."""
+    return lambda value: tw.from_descriptor(descriptor, family(value))
+
+
 def coarse_lump_grid():
     l = 16 * np.pi
     return Grid2D(Grid1D(l, 64), Grid1D(l, 64))
@@ -75,8 +80,7 @@ class TestContinueSolve:
         base = tw.solve(family(0.0), tw.petviashvili_factor("optimal", family(0.0)),
                         tw.gaussian_seed(grid, 2.0, 2.0), cfg)
         assert base.status == "converged"
-        res = tw.continue_solve(family, tw.HomotopyPath(values=(0.0,)),
-                                base.final, "petviashvili:optimal", cfg)
+        res = tw.continue_solve(factors_of(family), tw.HomotopyPath(values=(0.0,)), base.final, cfg)
         assert res.completed
         assert res.stages[0].result.trace.iteration_count <= 2
 
@@ -85,8 +89,7 @@ class TestContinueSolve:
         family = lambda g: tw.benjamin_lump(g, 1.0, grid)
         cfg = tw.IterationConfig(max_iterations=500, residual_tolerance=1e-10)
         path = tw.HomotopyPath(values=(0.0, 0.1, 0.2))
-        res = tw.continue_solve(family, path, tw.gaussian_seed(grid, 2.0, 2.0),
-                                "petviashvili:optimal", cfg)
+        res = tw.continue_solve(factors_of(family), path, tw.gaussian_seed(grid, 2.0, 2.0), cfg)
         assert res.completed and len(res.requested_stages) == 3
         m = grid.grid_z.point_count
         for stage in res.stages:
@@ -103,8 +106,7 @@ class TestContinueSolve:
         family = lambda g: tw.benjamin_lump(g, 1.0, grid)
         cfg = tw.IterationConfig(max_iterations=500, residual_tolerance=1e-10)
         seed = tw.gaussian_seed(grid, 2.0, 2.0)
-        res = tw.continue_solve(family, tw.HomotopyPath(values=(0.0, 0.15, 0.3)),
-                                seed, "petviashvili:optimal", cfg)
+        res = tw.continue_solve(factors_of(family), tw.HomotopyPath(values=(0.0, 0.15, 0.3)), seed, cfg)
         warm = {s.parameter_value: s.result.trace.iteration_count for s in res.stages}
         cold = tw.solve(family(0.3), tw.petviashvili_factor("optimal", family(0.3)),
                         seed, cfg)
@@ -113,7 +115,7 @@ class TestContinueSolve:
     def test_bisection_inserts_midpoint_stage(self):
         cfg = tw.IterationConfig(max_iterations=300, residual_tolerance=1e-12)
         path = tw.HomotopyPath(values=(0.0, 1.8), max_bisections=2)
-        res = tw.continue_solve(rotation_family, path, ROTATION_SEED, ROTATION_FACTOR, cfg)
+        res = tw.continue_solve(factors_of(rotation_family, ROTATION_FACTOR), path, ROTATION_SEED, cfg)
         assert res.completed
         inserted = [s for s in res.stages if not s.requested]
         assert inserted, "expected a bisection-inserted stage"
@@ -123,7 +125,7 @@ class TestContinueSolve:
     def test_abort_after_bisection_budget(self):
         cfg = tw.IterationConfig(max_iterations=300, residual_tolerance=1e-12)
         path = tw.HomotopyPath(values=(0.0, 1.8), max_bisections=0)
-        res = tw.continue_solve(rotation_family, path, ROTATION_SEED, ROTATION_FACTOR, cfg)
+        res = tw.continue_solve(factors_of(rotation_family, ROTATION_FACTOR), path, ROTATION_SEED, cfg)
         assert not res.completed
         assert res.failed_at == pytest.approx(1.8)
         assert [s.parameter_value for s in res.stages] == [0.0]
@@ -135,8 +137,8 @@ class TestPredictor:
         family = lambda g: tw.benjamin_lump(g, 1.0, grid)
         cfg = tw.IterationConfig(max_iterations=500, residual_tolerance=1e-10)
         values = (0.0, 0.1, 0.2, 0.3)
-        res = tw.continue_solve(family, tw.HomotopyPath(values=values),
-                                tw.gaussian_seed(grid, 2.0, 2.0), "petviashvili:optimal", cfg)
+        res = tw.continue_solve(factors_of(family), tw.HomotopyPath(values=values),
+                                tw.gaussian_seed(grid, 2.0, 2.0), cfg)
         assert res.completed and [s.parameter_value for s in res.stages] == list(values)
         state, warm = tw.gaussian_seed(grid, 2.0, 2.0), []
         for value in values:
@@ -164,7 +166,7 @@ class TestPredictor:
         monkeypatch.setattr(tw.continuation, "solve", recording_solve)
         cfg = tw.IterationConfig(max_iterations=300, residual_tolerance=1e-12)
         path = tw.HomotopyPath(values=(0.0, 0.5, 1.0, 5.0), max_bisections=1)
-        res = tw.continue_solve(family, path, ROTATION_SEED, ROTATION_FACTOR, cfg)
+        res = tw.continue_solve(factors_of(family, ROTATION_FACTOR), path, ROTATION_SEED, cfg)
         assert res.completed
         assert [(s.parameter_value, s.requested) for s in res.stages] == [
             (0.0, True), (0.5, True), (1.0, True), (3.0, False), (5.0, True)]
@@ -181,8 +183,8 @@ class TestPredictor:
         grid = build_grid(cfg["problem"])
         family = lambda g: tw.benjamin_lump(g, cfg["problem"]["sound_speed"], grid)
         path = tw.HomotopyPath(values=cfg["continuation"]["values"])
-        res = tw.continue_solve(family, path, build_seed(cfg, family(0.0)),
-                                cfg["factor"]["descriptor"], build_iteration_config(cfg))
+        res = tw.continue_solve(factors_of(family, cfg["factor"]["descriptor"]), path,
+                                build_seed(cfg, family(0.0)), build_iteration_config(cfg))
         assert res.completed and len(res.stages) == len(path.values)
         assert all(s.result.trace.final_residual <= 1e-10 for s in res.stages)
         # 744 iterations with plain warm starts, 563 with the quadratic predictor

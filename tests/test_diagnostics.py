@@ -438,7 +438,8 @@ class TestHypotheses:
         h = hypothesis_report(soliton_problem, soliton_exact)
         assert h["satisfied"]
         assert h["verdict"] == SATISFIED
-        assert h["i_dominant_is_p_and_simple"]
+        assert h["i_dominant_matches_p"]
+        assert h["i_dominant_simple"]
         assert h["ii_rest_within_unit_modulus"]
         assert len(h["iii_unit_modulus_eigenvalues"]) == 2
         assert h["iii_semisimple_proxy"]["independent"]
