@@ -31,7 +31,7 @@ import numpy as np
 
 from . import diagnostics, factors, problems
 from .continuation import HomotopyPath, continue_solve
-from .iterate import COLLAPSED, IterationConfig, SolveResult, newton_solve, solve
+from .iterate import ANDERSON_DEPTH, COLLAPSED, IterationConfig, SolveResult, newton_solve, solve
 from .spectral import Field, Grid1D, Grid2D, derivative
 
 FLOAT_FMT = "%.17g"
@@ -185,11 +185,15 @@ def build_problem(cfg: dict):
         raise ConfigError(f"problem: {exc}") from None
 
 
+# the mixing depth `solve` runs each stabilized-map engine with
+MIXING_DEPTH = {"stabilized": 0, "anderson": ANDERSON_DEPTH}
+
+
 def _iteration(cfg: dict) -> tuple[IterationConfig, str]:
     """The iteration block: the IterationConfig fields plus `engine`."""
     itconfig, rest = _dataclass(IterationConfig, cfg.get("iteration", {}), "iteration", {"engine": str})
     engine = rest.get("engine", "stabilized")
-    if engine not in ("stabilized", "newton"):
+    if engine not in (*MIXING_DEPTH, "newton"):
         raise ConfigError(f"iteration.engine: unknown engine {engine!r}")
     return itconfig, engine
 
@@ -368,7 +372,7 @@ def summary_payload(seed: dict | None, factor, result: SolveResult, engine: str,
 def _run_engine(engine: str, factor, seed: Field, itconfig: IterationConfig) -> SolveResult:
     if engine == "newton":
         return newton_solve(factor.problem, seed, itconfig)
-    return solve(factor.problem, factor, seed, itconfig)
+    return solve(factor.problem, factor, seed, itconfig, depth=MIXING_DEPTH[engine])
 
 
 def _write_runs(outdir: Path, runs: list, engine: str, itconfig: IterationConfig) -> list[dict]:
@@ -446,19 +450,21 @@ def cmd_spectrum(cfg: dict, outdir: Path) -> int:
 def cmd_continue(cfg: dict, outdir: Path) -> int:
     path, _ = _dataclass(HomotopyPath, cfg.get("continuation"), "continuation")
     itconfig, engine = _iteration(cfg)
-    if engine != "stabilized":
-        raise ConfigError(f"iteration.engine: continue runs the stabilized engine, got {engine!r}")
+    if engine not in MIXING_DEPTH:
+        raise ConfigError(f"iteration.engine: continue runs the stabilized or anderson engine, got {engine!r}")
     base_problem = build_problem(cfg)
     if base_problem.name != "benjamin_lump":
         raise ConfigError("problem.family: only benjamin_lump supports Gamma continuation")
 
-    def family(gamma: float):
+    def build_stage(gamma: float):
         stage_cfg = {**cfg, "problem": {**cfg["problem"], "Gamma": gamma}}
         return build_factor(stage_cfg, build_problem(stage_cfg))
 
-    for value in path.values:
-        family(value)  # a bad value or descriptor is a config error before any stage is solved
-    res = continue_solve(family, path, build_seed(cfg, base_problem), itconfig)
+    # a bad value or descriptor is a config error before any stage is solved;
+    # only the stages bisection inserts are built later
+    requested = {value: build_stage(value) for value in path.values}
+    res = continue_solve(lambda gamma: requested[gamma] if gamma in requested else build_stage(gamma),
+                         path, build_seed(cfg, base_problem), itconfig, depth=MIXING_DEPTH[engine])
     runs = []
     for i, stage in enumerate(res.stages):
         basis, trace = stage.seeded_from, stage.result.trace

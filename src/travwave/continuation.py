@@ -67,7 +67,7 @@ def _extrapolate(stages: list[StageResult], value: float) -> Field:
 
 
 def continue_solve(factor_family: Callable[[float], StabilizingFactor], path: HomotopyPath,
-                   seed: Field, config: IterationConfig | None = None) -> ContinuationResult:
+                   seed: Field, config: IterationConfig | None = None, depth: int = 0) -> ContinuationResult:
     """Solve the family along the path.  The first stage starts from `seed`,
     each later one from the extrapolation of the last (at most three) converged
     stages to its own value: a warm start, then the secant, then the quadratic.
@@ -76,6 +76,8 @@ def continue_solve(factor_family: Callable[[float], StabilizingFactor], path: Ho
     carries the stage's problem (`factor.problem`).  On a stage failure, the
     step from the last converged value is bisected up to `path.max_bisections`
     levels; if the target still fails, the partial results are returned flagged.
+    Every stage is solved by this module's `solve` with the Anderson mixing
+    `depth` (0 for the plain map).
     """
     cfg = config or IterationConfig()
     out = ContinuationResult()
@@ -84,7 +86,7 @@ def continue_solve(factor_family: Callable[[float], StabilizingFactor], path: Ho
         basis = out.stages[-3:]
         start = _extrapolate(basis, value) if basis else seed
         factor = factor_family(value)
-        result = solve(factor.problem, factor, start, cfg)
+        result = solve(factor.problem, factor, start, cfg, depth=depth)
         if result.status != CONVERGED:
             return False
         out.stages.append(StageResult(value, result, requested, factor,

@@ -163,14 +163,17 @@ class OperatorPair:
         """||L u - N(u)||, Euclidean over node values."""
         return self.norm(self.Lc - self.Nc)
 
-    def step(self, s: float) -> tuple[Field, np.ndarray]:
-        """The solution u' of L u' = s N(u), with its coefficients."""
+    def image(self, s: float) -> np.ndarray:
+        """The coefficients of the solution u' of L u' = s N(u)."""
         fs = self.problem.fourier
         if fs is None:
-            nxt = self.problem.solve_L(self.u.with_values(self.Nc * s))
-            return nxt, nxt.values
-        coeffs = (self.Nc * s) * fs.inverse_symbol
-        return self.u.with_values(fs.inverse(coeffs)), coeffs
+            return self.problem.solve_L(self.u.with_values(self.Nc * s)).values
+        return (self.Nc * s) * fs.inverse_symbol
+
+    def step(self, s: float) -> tuple[Field, np.ndarray]:
+        """The solution u' of L u' = s N(u), with its coefficients."""
+        coeffs = self.image(s)
+        return self.field(coeffs), coeffs
 
 
 @dataclass(frozen=True)

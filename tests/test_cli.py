@@ -169,6 +169,14 @@ class TestSolve:
         assert summary["status"] == "converged"
         assert summary["engine"] == "newton"
 
+    def test_anderson_engine(self, tmp_path):
+        out = tmp_path / "anderson"
+        cfg = soliton_config(out)
+        cfg["iteration"]["engine"] = "anderson"
+        assert main(["solve", "--config", write_config(tmp_path, cfg)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert (summary["engine"], summary["status"]) == ("anderson", "converged")
+
     @pytest.mark.parametrize("family", ["petviashvili", "inner:f=square", "inner:f=cube",
                                         "norm:1", "norm:2", "norm:inf"])
     def test_every_factor_family_converges_on_table2(self, tmp_path, family):
@@ -436,11 +444,35 @@ class TestContinue:
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("engine", ["newton", "nwton"])
-    def test_engine_other_than_stabilized_exits_2(self, tmp_path, capsys, engine):
+    def test_engine_other_than_stabilized_or_anderson_exits_2(self, tmp_path, capsys, engine):
         cfg = lump_config(tmp_path / "cont", points=32)
         cfg["iteration"]["engine"] = engine
         assert main(["continue", "--config", write_config(tmp_path, cfg)]) == 2
         assert "iteration.engine" in capsys.readouterr().err
+
+    def test_anderson_engine_names_itself_in_every_stage(self, tmp_path):
+        out = tmp_path / "cont"
+        cfg = lump_config(out, points=32)
+        cfg["iteration"]["engine"] = "anderson"
+        assert main(["continue", "--config", write_config(tmp_path, cfg)]) == 0
+        index = json.loads((out / "continuation.json").read_text())
+        assert index["completed"] and len(index["stages"]) == 2
+        for entry in index["stages"]:
+            summary = json.loads((out / entry["directory"] / "summary.json").read_text())
+            assert (summary["engine"], summary["status"]) == ("anderson", "converged")
+
+    def test_each_requested_stage_is_built_once(self, tmp_path, monkeypatch):
+        builds = []
+        original = tw.problems.benjamin_lump
+
+        def counting(*args, **kwargs):
+            builds.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(tw.problems, "benjamin_lump", counting)
+        assert main(["continue", "--recipe", "fig2", "--out", str(tmp_path / "fig2")]) == 0
+        # the configured problem (family check and seed), then each of the 12 stages
+        assert len(builds) == 1 + len(load_recipe("fig2")["continuation"]["values"]) == 13
 
     @pytest.mark.parametrize("descriptor", ["inner:f=quartic:optimal", "petviashvili:4"])
     def test_bad_descriptor_exits_2_before_any_stage(self, tmp_path, capsys, descriptor):

@@ -1,8 +1,11 @@
+import functools
+
 import numpy as np
 import pytest
 
 import travwave as tw
 from travwave.cli import build_grid, build_iteration_config, build_seed, load_recipe
+from travwave.iterate import ANDERSON_DEPTH
 from travwave.problems import ProblemModel
 from travwave.spectral import Field, Grid1D, Grid2D
 
@@ -44,6 +47,23 @@ def factors_of(family, descriptor="petviashvili:optimal"):
 def coarse_lump_grid():
     l = 16 * np.pi
     return Grid2D(Grid1D(l, 64), Grid1D(l, 64))
+
+
+@pytest.fixture(scope="module")
+def fig2_path():
+    """fig2's continuation as a library call, by mixing depth (0: the plain map)."""
+    cfg = load_recipe("fig2")
+    grid = build_grid(cfg["problem"])
+    family = lambda g: tw.benjamin_lump(g, cfg["problem"]["sound_speed"], grid)
+    path = tw.HomotopyPath(values=cfg["continuation"]["values"])
+    seed = build_seed(cfg, family(0.0))
+
+    @functools.cache
+    def run(depth):
+        return tw.continue_solve(factors_of(family, cfg["factor"]["descriptor"]), path, seed,
+                                 build_iteration_config(cfg), depth=depth)
+
+    return run
 
 
 class TestHomotopyPath:
@@ -159,9 +179,9 @@ class TestPredictor:
             calls.append([theta])
             return rotation_family(theta)
 
-        def recording_solve(problem, factor, start, cfg):
+        def recording_solve(problem, factor, start, cfg, **options):
             calls[-1].append(start)
-            return tw.solve(problem, factor, start, cfg)
+            return tw.solve(problem, factor, start, cfg, **options)
 
         monkeypatch.setattr(tw.continuation, "solve", recording_solve)
         cfg = tw.IterationConfig(max_iterations=300, residual_tolerance=1e-12)
@@ -178,14 +198,39 @@ class TestPredictor:
         np.testing.assert_allclose(calls[4][1].values, 10 * u0 - 24 * u1 + 15 * u2, rtol=1e-13)
         assert res.stages[4].seeded_from == (0.5, 1.0, 3.0)
 
-    def test_fig2_path_converges_within_budget(self):
-        cfg = load_recipe("fig2")
-        grid = build_grid(cfg["problem"])
-        family = lambda g: tw.benjamin_lump(g, cfg["problem"]["sound_speed"], grid)
-        path = tw.HomotopyPath(values=cfg["continuation"]["values"])
-        res = tw.continue_solve(factors_of(family, cfg["factor"]["descriptor"]), path,
-                                build_seed(cfg, family(0.0)), build_iteration_config(cfg))
-        assert res.completed and len(res.stages) == len(path.values)
+    def test_fig2_path_converges_within_budget(self, fig2_path):
+        res = fig2_path(0)
+        assert res.completed and len(res.stages) == len(load_recipe("fig2")["continuation"]["values"])
         assert all(s.result.trace.final_residual <= 1e-10 for s in res.stages)
         # 744 iterations with plain warm starts, 563 with the quadratic predictor
         assert sum(s.result.trace.iteration_count for s in res.stages) <= 600
+
+
+class TestAndersonPath:
+    def test_fig2_path_stays_on_the_plain_engine_states(self, fig2_path):
+        plain, mixed = fig2_path(0), fig2_path(ANDERSON_DEPTH)
+        assert mixed.completed
+        assert [s.parameter_value for s in mixed.stages] == [s.parameter_value for s in plain.stages]
+        for stage, ref in zip(mixed.stages, plain.stages):
+            assert stage.result.trace.final_residual <= 1e-10
+            difference = np.linalg.norm(stage.result.final.values - ref.result.final.values)
+            assert difference <= 1e-9 * np.linalg.norm(ref.result.final.values)
+        # 563 iterations on the plain map, 153 mixed
+        assert sum(s.result.trace.iteration_count for s in mixed.stages) <= 200
+
+    def test_every_stage_solve_is_mixed(self, monkeypatch):
+        depths = []
+
+        def recording_solve(problem, factor, start, cfg, **options):
+            depths.append(options.get("depth"))
+            return tw.solve(problem, factor, start, cfg, **options)
+
+        monkeypatch.setattr(tw.continuation, "solve", recording_solve)
+        grid = coarse_lump_grid()
+        family = lambda g: tw.benjamin_lump(g, 1.0, grid)
+        res = tw.continue_solve(factors_of(family), tw.HomotopyPath(values=(0.0, 0.1)),
+                                tw.gaussian_seed(grid, 2.0, 2.0),
+                                tw.IterationConfig(max_iterations=500, residual_tolerance=1e-10),
+                                depth=ANDERSON_DEPTH)
+        assert res.completed
+        assert depths == [ANDERSON_DEPTH] * 2

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import travwave as tw
-from travwave.cli import build_iteration_config, build_problem, build_seed, load_recipe
+from travwave.cli import build_factor, build_iteration_config, build_problem, build_seed, load_recipe
+from travwave.iterate import ANDERSON_DEPTH
 from travwave.spectral import Field, Grid1D, Grid2D
 
 # J L^-1 actions in one Newton step: the Krylov iterations of the
@@ -265,6 +266,52 @@ class TestNewton:
         newton = tw.newton_solve(problem, seed, cfg).trace
         assert newton.residuals[0] == stabilized.residuals[0]
         assert newton.norms[0] == stabilized.norms[0]
+
+
+class TestAnderson:
+    """`solve(..., depth=ANDERSON_DEPTH)`: Anderson mixing of the stabilized map."""
+
+    @staticmethod
+    def recipe_runs(name):
+        cfg = load_recipe(name)
+        problem = build_problem(cfg)
+        factor, seed, itconfig = build_factor(cfg, problem), build_seed(cfg, problem), build_iteration_config(cfg)
+        return [tw.solve(problem, factor, seed, itconfig, depth=depth) for depth in (0, ANDERSON_DEPTH)]
+
+    def test_reaches_the_antisymmetric_state_where_the_plain_map_breaks_down(self, antisymmetric_state):
+        plain, mixed = self.recipe_runs("table1_col34")
+        assert plain.status == "diverged"
+        assert mixed.status == "converged"
+        distance = np.linalg.norm(mixed.final.values - antisymmetric_state.values)
+        assert distance <= 1e-12 * np.linalg.norm(antisymmetric_state.values)
+
+    def test_fewer_iterations_than_the_plain_map_on_table1_col12(self):
+        plain, mixed = self.recipe_runs("table1_col12")  # 26 and 11 iterations
+        assert plain.status == mixed.status == "converged"
+        assert mixed.trace.iteration_count < plain.trace.iteration_count
+        assert np.linalg.norm(mixed.final.values - plain.final.values) <= 1e-11 * np.linalg.norm(plain.final.values)
+
+    def test_complex_soliton_converges_to_the_orbit(self, soliton_problem, grid_1d):
+        seed = tw.gaussian_seed(grid_1d, 1.0, 2.0)
+        factor = tw.petviashvili_factor("optimal", soliton_problem)
+        cfg = tw.IterationConfig(max_iterations=100, residual_tolerance=1e-12)
+        plain, mixed = (tw.solve(soliton_problem, factor, seed.with_values(seed.values.astype(complex)), cfg,
+                                 depth=depth) for depth in (0, ANDERSON_DEPTH))
+        assert plain.status == mixed.status == "converged"
+        assert mixed.trace.iteration_count < plain.trace.iteration_count
+        assert tw.orbit_match(mixed.final, soliton_problem.exact_solution).sup_distance <= 1e-12
+
+    def test_singular_gram_matrix_drops_the_history(self):
+        # on two nodes the differences soon lie on a line, and at (1, 0) they vanish
+        result = tw.solve(scaled_square_problem(), None, two_nodes(1.3, 0.0),
+                          tw.IterationConfig(max_iterations=40, residual_tolerance=1e-300), depth=ANDERSON_DEPTH)
+        assert result.status == "converged"
+        assert np.array_equal(result.final.values, [1.0, 0.0])
+
+    @pytest.mark.parametrize("depth", [-1, 2.5, True, None])
+    def test_depth_must_be_a_nonnegative_integer(self, soliton_problem, soliton_exact, depth):
+        with pytest.raises(ValueError, match="depth"):
+            tw.solve(soliton_problem, None, soliton_exact, depth=depth)
 
 
 def scaled_square_problem(scale=1.0, jac_sign=1.0):
