@@ -11,6 +11,7 @@ import pytest
 import scipy.sparse.linalg
 
 import travwave as tw
+import travwave.cli
 from travwave.cli import (
     FLOAT_FMT,
     ConfigError,
@@ -69,6 +70,11 @@ def write_config(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def tree_bytes(root):
+    """Every file under `root`, by relative path, with its bytes."""
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 class TestSolve:
@@ -700,6 +706,67 @@ class TestNonFiniteNumbers:
         assert not (tmp_path / "out" / "trace.csv").exists()
 
 
+class TestSplitWriter:
+    """Multi-run commands over enough node values write every other run from
+    one forked child; the bytes are those of the serial loop."""
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The calls of os.fork, on two CPUs whatever the host has."""
+        calls, fork = [], os.fork
+
+        def counting():
+            calls.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        return calls
+
+    def test_split_and_serial_trees_are_byte_identical(self, tmp_path, monkeypatch, forks):
+        trees, fork_counts = {}, []
+        for name, threshold in (("split", 0), ("serial", math.inf)):
+            monkeypatch.setattr(travwave.cli, "SPLIT_NODE_VALUES", threshold)
+            out = tmp_path / name
+            assert main(["continue", "--config", write_config(tmp_path, lump_config(out, points=32))]) == 0
+            self.assert_no_child_left()
+            fork_counts.append(len(forks))
+            trees[name] = tree_bytes(out)
+        assert fork_counts == [1, 1]  # one fork for the split run, none for the serial one
+        assert len(trees["split"]) == 2 * 5 + 1
+        assert trees["split"] == trees["serial"]
+
+    @pytest.mark.parametrize("blocked", [0, 1], ids=["parent_run", "child_run"])
+    def test_blocked_run_directory_exits_3_and_names_it(self, tmp_path, monkeypatch, capfd, forks, blocked):
+        monkeypatch.setattr(travwave.cli, "SPLIT_NODE_VALUES", 0)
+        out = tmp_path / "cont"
+        names = ["stage_000_gamma_0.000000", "stage_001_gamma_0.100000"]
+        out.mkdir()
+        (out / names[blocked]).write_text("not a directory")
+        assert main(["continue", "--config", write_config(tmp_path, lump_config(out, points=32))]) == 3
+        self.assert_no_child_left()
+        assert len(forks) == 1
+        err = capfd.readouterr().err
+        assert names[blocked] in err and "FileExistsError" in err
+        # the other process's run is complete, and no index is written
+        assert (out / names[1 - blocked] / "summary.json").is_file()
+        assert not (out / "continuation.json").exists()
+
+    @pytest.mark.parametrize("command, recipe", [("solve", "fig2"), ("spectrum", "table2"), ("orbital", "fig67")])
+    def test_single_and_small_runs_never_fork(self, tmp_path, monkeypatch, command, recipe):
+        def no_fork():
+            raise AssertionError("os.fork called")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert main([command, "--recipe", recipe, "--out", str(tmp_path / "out")]) == 0
+
+
 class TestSummary:
     @staticmethod
     def legacy_iteration_config(cfg):
@@ -726,6 +793,21 @@ class TestSummary:
         legacy = dict(payload, iteration_config=self.legacy_iteration_config(cfg))
         assert (json.dumps(payload, indent=2, sort_keys=True)
                 == json.dumps(legacy, indent=2, sort_keys=True))
+
+    @pytest.mark.parametrize("case", ["table1_col12", "table1_col34", "nls_soliton", "benjamin_lump"])
+    def test_summary_reruns_the_case_byte_identically(self, tmp_path, case):
+        cfg = {"nls_soliton": lambda: soliton_config(tmp_path / "unused"),
+               "benjamin_lump": lambda: lump_config(tmp_path / "unused", points=32)}.get(
+            case, lambda: load_recipe(case))()
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert main(["solve", "--config", write_config(tmp_path, cfg), "--out", str(first)]) == 0
+        summary = json.loads((first / "summary.json").read_text())
+        rerun = {"problem": {**summary["problem"], "grid": summary["grid"]},
+                 "factor": {"descriptor": summary["factor"]},
+                 "iteration": {**summary["iteration_config"], "engine": summary["engine"]},
+                 "seed": summary["seed"]}
+        assert main(["solve", "--config", write_config(tmp_path, rerun, "rerun.json"), "--out", str(again)]) == 0
+        assert tree_bytes(first) == tree_bytes(again)
 
     def test_parsed_config_is_written(self, tmp_path):
         out = tmp_path / "run"
