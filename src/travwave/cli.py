@@ -18,11 +18,14 @@ error, 3 runtime failure.
 from __future__ import annotations
 
 import argparse
+import collections
+import contextlib
 import csv
 import functools
 import importlib.resources
 import json
 import os
+import pickle
 import sys
 import warnings
 from dataclasses import MISSING, asdict, fields, replace
@@ -382,78 +385,191 @@ def _run_engine(engine: str, factor, seed: Field, itconfig: IterationConfig) -> 
     return solve(factor.problem, factor, seed, itconfig, depth=MIXING_DEPTH[engine])
 
 
-# Runs holding at least this many node values in total are written by two
-# processes.  The `%.17g` formatting holds the GIL, so a writer thread gains
-# nothing; a forked child that writes every other run halves it.  Medians of
-# `_write_runs` on two lump stages, 2 cores: 2 runs x 4,096 values take 4.2 ms
-# serial and 4.7 ms forked, 2 x 8,100 take 9.4 and 7.5 ms, and 2 x 16,384
-# take 15.6 and 10.7 ms.
+# Runs holding at least this many node values in total, over two or more
+# runs, are streamed to one forked writer process (`_WriterProcess`) as they
+# are solved, so the writing overlaps the solves.  The `%.17g` formatting
+# holds the GIL, so a writer thread gains nothing.  Below this size the fork
+# costs more than it saves: medians of writing two lump stages on 2 cores,
+# serially against with a child writing one of them, are 4.2 against 4.7 ms
+# for 2 x 4,096 values, 9.4 against 7.5 ms for 2 x 8,100 and 15.6 against
+# 10.7 ms for 2 x 16,384.
 SPLIT_NODE_VALUES = 2**14
+# runs the writer process holds at once: one being written and one waiting;
+# the parent queues the rest
+IN_FLIGHT = 2
 
 
-def _split_writes(runs: list) -> bool:
-    """Whether a forked child should write half of `runs`: fork exists, this
-    process may run on 2 or more CPUs, and there are 2 or more runs holding
-    SPLIT_NODE_VALUES node values or more."""
-    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and len(runs) >= 2
-            and sum(run[3].final.values.size for run in runs) >= SPLIT_NODE_VALUES
+def _write_run(outdir: Path, name: str, payload: dict, result: SolveResult) -> None:
+    """The run directory `outdir / name`: trace, profile, a 2D profile's
+    cross-sections and the summary `payload`."""
+    sub = outdir / name
+    sub.mkdir(parents=True, exist_ok=True)
+    write_trace_csv(sub / "trace.csv", result)
+    write_profile_csv(sub / "profile.csv", result.final)
+    if len(result.final.grid.axes) == 2:
+        write_cross_sections(sub, result.final)
+    _json_dump(sub / "summary.json", payload)
+
+
+class _WriterProcess:
+    """A forked child that writes the runs sent to it through a pipe, in
+    order, and acknowledges each with one byte on a second pipe.
+
+    The parent sends a run as soon as it is solved while fewer than IN_FLIGHT
+    are unacknowledged, and queues it otherwise; `finish` writes from the
+    tail of the queue while the child keeps taking from its head."""
+
+    def __init__(self, outdir: Path, run_bytes: int):
+        """Raises OSError when the pipe cannot hold IN_FLIGHT runs of
+        `run_bytes`, so that a send would wait on the child."""
+        import fcntl  # POSIX only, like fork
+
+        if not hasattr(fcntl, "F_SETPIPE_SZ"):  # Linux only
+            raise OSError("pipes cannot be resized on this platform")
+        runs_in, self.runs = os.pipe()
+        self.acks, acks_out = os.pipe()
+        try:
+            fcntl.fcntl(self.runs, fcntl.F_SETPIPE_SZ, IN_FLIGHT * run_bytes)
+            sys.stderr.flush()  # so the child's flush on its way out repeats none of the parent's output
+            with warnings.catch_warnings():
+                # Python >= 3.12 warns that forking beside OpenBLAS's threads may deadlock
+                # the child; this child makes no BLAS call, starts no thread and leaves by os._exit
+                warnings.filterwarnings("ignore", r"This process .* is multi-threaded, use of fork\(\)",
+                                        DeprecationWarning)
+                self.pid = os.fork()
+        except OSError:
+            for fd in (runs_in, self.runs, self.acks, acks_out):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            os.close(self.runs)
+            os.close(self.acks)
+            self._serve(outdir, runs_in, acks_out)
+        os.close(runs_in)
+        os.close(acks_out)
+        os.set_blocking(self.acks, False)
+        self.outdir = outdir
+        self.sent: list[str] = []
+        self.written = 0
+        self.queue: collections.deque = collections.deque()
+        self.code: int | None = None
+
+    @staticmethod
+    def _serve(outdir: Path, runs_in: int, acks_out: int):
+        """The child: write each run received until the pipe closes, then
+        leave by os._exit, never returning into the caller: status 0 when
+        every run is written, 1 when one fails (after printing its traceback
+        to stderr) or the child is interrupted."""
+        status = 1
+        try:
+            with open(runs_in, "rb") as runs:
+                while True:
+                    try:
+                        run = pickle.load(runs)
+                    except EOFError:
+                        break
+                    _write_run(outdir, *run)
+                    os.write(acks_out, b"\0")
+            status = 0
+        except Exception:  # noqa: BLE001 - the parent reports the failure
+            import traceback  # only a failing child needs it
+            traceback.print_exc()
+        finally:
+            sys.stderr.flush()
+            os._exit(status)
+
+    def put(self, run: tuple) -> None:
+        """Queue a run (name, summary payload, result) for the child."""
+        self.queue.append(run)
+        self._feed()
+
+    def finish(self) -> None:
+        """Write the queued runs, from the tail here and from the head in the child."""
+        self._feed()
+        while self.queue:
+            _write_run(self.outdir, *self.queue.pop())
+            self._feed()
+
+    def _feed(self) -> None:
+        """Count the child's acknowledgements, then send from the head of the
+        queue while fewer than IN_FLIGHT runs are unacknowledged."""
+        try:
+            while acks := os.read(self.acks, IN_FLIGHT):
+                self.written += len(acks)
+            raise self.failure()  # end of file: the child left before its input ended
+        except BlockingIOError:
+            pass
+        while self.queue and len(self.sent) - self.written < IN_FLIGHT:
+            run = self.queue.popleft()
+            data = memoryview(pickle.dumps(run, pickle.HIGHEST_PROTOCOL))
+            self.sent.append(run[0])
+            try:
+                while data:
+                    data = data[os.write(self.runs, data):]
+            except BrokenPipeError:
+                raise self.failure() from None
+
+    def close(self) -> int:
+        """End the child's input, wait for it and return its exit code."""
+        if self.code is None:
+            os.close(self.runs)
+            self.code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+            while acks := os.read(self.acks, 4096):
+                self.written += len(acks)
+            os.close(self.acks)
+        return self.code
+
+    def failure(self) -> RuntimeError:
+        """The error of a failed child, naming the run it was writing."""
+        code, pending = self.close(), self.sent[self.written:]
+        return RuntimeError(f"the writer process exited with code {code}"
+                            + (f" writing {pending[0]}" if pending else ""))
+
+
+def _streams(runs: int, sample: Field) -> bool:
+    """Whether a forked writer process should take `runs` runs whose final
+    states are shaped like `sample`: fork exists, this process may run on 2
+    or more CPUs, and 2 or more runs hold SPLIT_NODE_VALUES node values or more."""
+    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and runs >= 2
+            and runs * sample.values.size >= SPLIT_NODE_VALUES
             and len(os.sched_getaffinity(0)) >= 2)
 
 
-def _fork_writer(runs: list, write) -> int:
-    """The pid of a forked child that calls `write` on each run and leaves by
-    os._exit, never returning into the caller: status 0 when every run is
-    written, 1 when one fails (after printing its traceback to stderr) or the
-    child is interrupted."""
-    sys.stderr.flush()  # so the child's flush on its way out repeats none of the parent's output
-    with warnings.catch_warnings():
-        # Python >= 3.12 warns that forking beside OpenBLAS's threads may deadlock
-        # the child; this child makes no BLAS call, starts no thread and leaves by os._exit
-        warnings.filterwarnings("ignore", r"This process .* is multi-threaded, use of fork\(\)",
-                                DeprecationWarning)
-        pid = os.fork()
-    if pid:
-        return pid
-    status = 1
+@contextlib.contextmanager
+def _write_runs(outdir: Path, engine: str, itconfig: IterationConfig, runs: int = 1,
+                sample: Field | None = None):
+    """Yields `write(run)`, which writes a run (name, seed record, factor,
+    result, index entry) into `outdir / name` (see `_write_run`) and returns
+    its index entry with its directory and status added.  When `runs` runs
+    shaped like `sample` are expected and `_streams` holds, a `_WriterProcess`
+    writes them while the caller solves the next; either way every run
+    directory is complete when the block ends without an error."""
+    writer = None
+    if _streams(runs, sample):
+        try:
+            writer = _WriterProcess(outdir, sample.values.nbytes + 2**16)  # 64 KiB: trace and summary
+        except OSError:
+            pass  # the runs are written here
+
+    def write(run) -> dict:
+        name, seed, factor, result, entry = run
+        payload = summary_payload(seed, factor, result, engine, itconfig)
+        if writer is None:
+            _write_run(outdir, name, payload, result)
+        else:
+            writer.put((name, payload, result))
+        return {"directory": name, "status": result.status, **entry}
+
+    if writer is None:
+        yield write
+        return
     try:
-        for run in runs:
-            write(run)
-        status = 0
-    except Exception:  # noqa: BLE001 - the parent reports the failure
-        import traceback  # only a failing child needs it
-        traceback.print_exc()
+        yield write
+        writer.finish()
     finally:
-        sys.stderr.flush()
-        os._exit(status)
-
-
-def _write_runs(outdir: Path, runs: list, engine: str, itconfig: IterationConfig) -> list[dict]:
-    """Each run (name, seed record, factor, result, index entry) written into
-    `outdir / name`: trace, profile, a 2D profile's cross-sections and the
-    summary.  When `_split_writes` holds, a forked child writes every other
-    run.  Returns the index entries, each with its directory and status, once
-    every run directory is complete."""
-
-    def write(run) -> None:
-        name, seed, factor, result, _ = run
-        sub = outdir / name
-        sub.mkdir(parents=True, exist_ok=True)
-        write_trace_csv(sub / "trace.csv", result)
-        write_profile_csv(sub / "profile.csv", result.final)
-        if len(result.final.grid.axes) == 2:
-            write_cross_sections(sub, result.final)
-        _json_dump(sub / "summary.json", summary_payload(seed, factor, result, engine, itconfig))
-
-    child = _fork_writer(runs[1::2], write) if _split_writes(runs) else None
-    try:
-        for run in runs if child is None else runs[0::2]:
-            write(run)
-    finally:
-        code = 0 if child is None else os.waitstatus_to_exitcode(os.waitpid(child, 0)[1])
+        code = writer.close()
     if code != 0:
-        raise RuntimeError(f"the writer process for runs {[run[0] for run in runs[1::2]]} "
-                           f"exited with code {code}")
-    return [{"directory": name, "status": result.status, **entry} for name, _, _, result, entry in runs]
+        raise writer.failure()
 
 
 def cmd_solve(cfg: dict, outdir: Path) -> int:
@@ -461,7 +577,8 @@ def cmd_solve(cfg: dict, outdir: Path) -> int:
     factor = build_factor(cfg, problem)
     itconfig, engine = _iteration(cfg)
     result = _run_engine(engine, factor, build_seed(cfg, problem), itconfig)
-    _write_runs(outdir, [("", cfg.get("seed"), factor, result, {})], engine, itconfig)
+    with _write_runs(outdir, engine, itconfig) as write:
+        write(("", cfg.get("seed"), factor, result, {}))
     return 0
 
 
@@ -491,7 +608,8 @@ def cmd_spectrum(cfg: dict, outdir: Path) -> int:
         if seed is None:
             raise ConfigError("missing field seed")
         result = _run_engine(engine, factor, seed, itconfig)
-        _write_runs(outdir, [("", cfg.get("seed"), factor, result, {})], engine, itconfig)
+        with _write_runs(outdir, engine, itconfig) as write:
+            write(("", cfg.get("seed"), factor, result, {}))
         if result.status == COLLAPSED:
             raise RuntimeError(f"the {engine} solve collapsed to the trivial state u = 0; "
                                "its spectra say nothing about a traveling wave")
@@ -527,18 +645,23 @@ def cmd_continue(cfg: dict, outdir: Path) -> int:
     # a bad value or descriptor is a config error before any stage is solved;
     # only the stages bisection inserts are built later
     requested = {value: build_stage(value) for value in path.values}
-    res = continue_solve(lambda gamma: requested[gamma] if gamma in requested else build_stage(gamma),
-                         path, build_seed(cfg, base_problem), itconfig, depth=MIXING_DEPTH[engine])
-    runs = []
-    for i, stage in enumerate(res.stages):
-        basis, trace = stage.seeded_from, stage.result.trace
-        record = ({"kind": "warm_start", "from_stage": basis[0]} if len(basis) == 1
-                  else {"kind": "extrapolated", "from_stages": list(basis)} if basis else cfg.get("seed"))
-        runs.append((f"stage_{i:03d}_gamma_{stage.parameter_value:.6f}", record, stage.factor, stage.result,
-                     {"Gamma": stage.parameter_value, "requested": stage.requested,
-                      "iterations": trace.iteration_count, "final_residual": trace.final_residual}))
+    seed = build_seed(cfg, base_problem)
+    index = []
+    # each stage is written as soon as it is appended: its index is final then
+    with _write_runs(outdir, engine, itconfig, len(path.values), seed) as write:
+        def stage_done(i: int, stage) -> None:
+            basis, trace = stage.seeded_from, stage.result.trace
+            record = ({"kind": "warm_start", "from_stage": basis[0]} if len(basis) == 1
+                      else {"kind": "extrapolated", "from_stages": list(basis)} if basis else cfg.get("seed"))
+            index.append(write((f"stage_{i:03d}_gamma_{stage.parameter_value:.6f}", record, stage.factor,
+                                stage.result, {"Gamma": stage.parameter_value, "requested": stage.requested,
+                                               "iterations": trace.iteration_count,
+                                               "final_residual": trace.final_residual})))
+
+        res = continue_solve(lambda gamma: requested[gamma] if gamma in requested else build_stage(gamma),
+                             path, seed, itconfig, depth=MIXING_DEPTH[engine], on_stage=stage_done)
     _json_dump(outdir / "continuation.json", {"completed": res.completed, "failed_at": res.failed_at,
-                                              "stages": _write_runs(outdir, runs, engine, itconfig)})
+                                              "stages": index})
     return 0
 
 
@@ -563,7 +686,8 @@ def cmd_orbital(cfg: dict, outdir: Path) -> int:
     solved = [(name, {"kind": "exact_perturbed", **run}, factor,
                _run_engine(engine, factor, _perturbed_exact(problem, **run), itconfig), run)
               for name, (_, run) in runs.items()]
-    index = _write_runs(outdir, solved, engine, itconfig)
+    with _write_runs(outdir, engine, itconfig, len(solved), solved[0][3].final) as write:
+        index = [write(run) for run in solved]
     for name, _, _, result, run in solved:
         fit = diagnostics.orbit_match(result.final, problem.exact_solution)
         _json_dump(outdir / name / "orbitfit.json", {**fit.to_json_dict(), **run, "status": result.status})

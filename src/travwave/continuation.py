@@ -67,7 +67,8 @@ def _extrapolate(stages: list[StageResult], value: float) -> Field:
 
 
 def continue_solve(factor_family: Callable[[float], StabilizingFactor], path: HomotopyPath,
-                   seed: Field, config: IterationConfig | None = None, depth: int = 0) -> ContinuationResult:
+                   seed: Field, config: IterationConfig | None = None, depth: int = 0,
+                   on_stage: Callable[[int, StageResult], None] | None = None) -> ContinuationResult:
     """Solve the family along the path.  The first stage starts from `seed`,
     each later one from the extrapolation of the last (at most three) converged
     stages to its own value: a warm start, then the secant, then the quadratic.
@@ -77,7 +78,8 @@ def continue_solve(factor_family: Callable[[float], StabilizingFactor], path: Ho
     step from the last converged value is bisected up to `path.max_bisections`
     levels; if the target still fails, the partial results are returned flagged.
     Every stage is solved by this module's `solve` with the Anderson mixing
-    `depth` (0 for the plain map).
+    `depth` (0 for the plain map).  `on_stage(i, stage)` is called as each
+    converged stage is appended; a stage's index i never changes afterwards.
     """
     cfg = config or IterationConfig()
     out = ContinuationResult()
@@ -91,6 +93,8 @@ def continue_solve(factor_family: Callable[[float], StabilizingFactor], path: Ho
             return False
         out.stages.append(StageResult(value, result, requested, factor,
                                       tuple(s.parameter_value for s in basis)))
+        if on_stage is not None:
+            on_stage(len(out.stages) - 1, out.stages[-1])
         return True
 
     def advance(prev_value: float | None, value: float, depth: int, requested: bool) -> bool:

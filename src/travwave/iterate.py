@@ -216,7 +216,8 @@ def _iterate(problem: ProblemModel, u: Field, config: IterationConfig | None,
     the run when no step can be taken.
     """
     cfg = config or IterationConfig()
-    if u.norm == 0.0 or not np.all(np.isfinite(u.values)):
+    # exact and BLAS-free: a nonzero seed whose norm underflows is still nonzero
+    if not np.any(u.values) or not np.all(np.isfinite(u.values)):
         raise ValueError("seed must be nonzero and finite")
     pair = problem.pair(u)
     records: list[tuple[float, float, float]] = []

@@ -237,14 +237,14 @@ def nls_ground_state(potential, mu: float, grid: Grid1D, sign: int = -1) -> Prob
     if isinstance(sign, bool) or sign not in (-1, 1):
         raise ValueError(f"sign must be -1 or 1, got {sign!r}")
     # scipy is imported where it is called: the Fourier families run on numpy alone
-    import scipy.linalg
-    from scipy.linalg import lu_factor, lu_solve
+    from scipy.linalg import lu_factor
+    from scipy.linalg.lapack import dgecon, dgetrs
     V = _as_samples(potential, grid)
     m = grid.point_count
     L_dense = diff_matrix(grid, 2) + np.diag(V) - mu * np.eye(m)
     anorm = np.linalg.norm(L_dense, 1)
-    factorization = lu_factor(L_dense)
-    rcond, _ = scipy.linalg.lapack.dgecon(factorization[0], anorm, norm="1")
+    lu, piv = lu_factor(L_dense)
+    rcond, _ = dgecon(lu, anorm, norm="1")
     if rcond < 1e-13:
         raise SingularOperatorError(
             f"L = D^2 + diag(V) - mu*I is numerically singular at mu = {mu} "
@@ -265,7 +265,8 @@ def nls_ground_state(potential, mu: float, grid: Grid1D, sign: int = -1) -> Prob
         grid=grid,
         is_complex=False,
         apply_L=lambda u: u.with_values(L_dense @ u.values),
-        solve_L=lambda b: b.with_values(lu_solve(factorization, b.values)),
+        # LAPACK getrs on the stored factors: lu_solve's bytes without its input checks
+        solve_L=lambda b: b.with_values(dgetrs(lu, piv, b.values)[0]),
         apply_N=apply_N,
         jacN_action=jacN,
         params={"mu": mu, "sign": sign},

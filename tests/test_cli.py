@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import select
 import subprocess
 import sys
 from pathlib import Path
@@ -706,9 +707,10 @@ class TestNonFiniteNumbers:
         assert not (tmp_path / "out" / "trace.csv").exists()
 
 
-class TestSplitWriter:
-    """Multi-run commands over enough node values write every other run from
-    one forked child; the bytes are those of the serial loop."""
+class TestStreamedWriter:
+    """A continuation over enough node values streams its stages, as each is
+    appended, to one forked writer process; the bytes are those of the
+    one-process loop."""
 
     @staticmethod
     def assert_no_child_left():
@@ -717,7 +719,8 @@ class TestSplitWriter:
 
     @pytest.fixture
     def forks(self, monkeypatch):
-        """The calls of os.fork, on two CPUs whatever the host has."""
+        """The calls of os.fork, on two CPUs whatever the host has, with
+        every continuation streamed."""
         calls, fork = [], os.fork
 
         def counting():
@@ -726,35 +729,88 @@ class TestSplitWriter:
 
         monkeypatch.setattr(os, "fork", counting)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(travwave.cli, "SPLIT_NODE_VALUES", 0)
         return calls
 
-    def test_split_and_serial_trees_are_byte_identical(self, tmp_path, monkeypatch, forks):
+    @staticmethod
+    def bisected_config(out):
+        """Four stages: the jump from Gamma 0 to 30 and its first half both
+        leave the divergence guard (residuals up to 4.0e3 and 8.4e2), so
+        bisection inserts Gamma 7.5 and 15 (residuals up to 178 and 15)."""
+        cfg = lump_config(out, points=32)
+        cfg["continuation"]["values"] = [0.0, 30.0]
+        cfg["iteration"]["divergence_guard"] = 300.0
+        return cfg
+
+    STAGES = ["stage_000_gamma_0.000000", "stage_001_gamma_7.500000", "stage_002_gamma_15.000000",
+              "stage_003_gamma_30.000000"]
+
+    def test_two_and_one_cpu_trees_are_byte_identical(self, tmp_path, monkeypatch, forks):
         trees, fork_counts = {}, []
-        for name, threshold in (("split", 0), ("serial", math.inf)):
-            monkeypatch.setattr(travwave.cli, "SPLIT_NODE_VALUES", threshold)
-            out = tmp_path / name
-            assert main(["continue", "--config", write_config(tmp_path, lump_config(out, points=32))]) == 0
+        for cpus in ({0, 1}, {0}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
+            out = tmp_path / f"cpus_{len(cpus)}"
+            assert main(["continue", "--config", write_config(tmp_path, self.bisected_config(out))]) == 0
             self.assert_no_child_left()
             fork_counts.append(len(forks))
-            trees[name] = tree_bytes(out)
-        assert fork_counts == [1, 1]  # one fork for the split run, none for the serial one
-        assert len(trees["split"]) == 2 * 5 + 1
-        assert trees["split"] == trees["serial"]
+            trees[len(cpus)] = tree_bytes(out)
+        assert fork_counts == [1, 1]  # one fork on two CPUs, none on one
+        stages = json.loads(trees[2][Path("continuation.json")])["stages"]
+        assert [(s["directory"], s["requested"]) for s in stages] == list(zip(self.STAGES, [True, False, False, True]))
+        assert len(trees[2]) == 4 * 5 + 1
+        assert trees[2] == trees[1]
 
-    @pytest.mark.parametrize("blocked", [0, 1], ids=["parent_run", "child_run"])
-    def test_blocked_run_directory_exits_3_and_names_it(self, tmp_path, monkeypatch, capfd, forks, blocked):
-        monkeypatch.setattr(travwave.cli, "SPLIT_NODE_VALUES", 0)
+    @pytest.mark.parametrize("blocked", [3, 0], ids=["parent_run", "child_run"])
+    def test_blocked_stage_directory_exits_3_and_names_it(self, tmp_path, monkeypatch, capfd, forks, blocked):
         out = tmp_path / "cont"
-        names = ["stage_000_gamma_0.000000", "stage_001_gamma_0.100000"]
         out.mkdir()
-        (out / names[blocked]).write_text("not a directory")
+        (out / self.STAGES[blocked]).write_text("not a directory")
+        if blocked == 3:
+            # the child takes no stage until the parent has tried one, so the
+            # parent writes the last stage from the tail of its queue
+            parent, (tried, told) = os.getpid(), os.pipe()
+            write_run = travwave.cli._write_run
+
+            def ordered(*args):
+                if os.getpid() != parent:
+                    select.select([tried], [], [], 30.0)
+                    return write_run(*args)
+                try:
+                    return write_run(*args)
+                finally:
+                    os.write(told, b"\0")
+
+            monkeypatch.setattr(travwave.cli, "_write_run", ordered)
+        code = main(["continue", "--config", write_config(tmp_path, self.bisected_config(out))])
+        self.assert_no_child_left()
+        assert code == 3
+        assert len(forks) == 1
+        err = capfd.readouterr().err
+        assert self.STAGES[blocked] in err and "FileExistsError" in err
+        if blocked == 3:
+            os.close(tried)
+            os.close(told)
+            # the child wrote the two stages it held
+            assert all((out / name / "summary.json").is_file() for name in self.STAGES[:2])
+        assert not (out / "continuation.json").exists()
+
+    def test_failed_later_solve_exits_3_and_leaves_no_child(self, tmp_path, monkeypatch, capfd, forks):
+        solve, calls = travwave.continuation.solve, []
+
+        def failing_second(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise ArithmeticError("stage solve failed")
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(travwave.continuation, "solve", failing_second)
+        out = tmp_path / "cont"
         assert main(["continue", "--config", write_config(tmp_path, lump_config(out, points=32))]) == 3
         self.assert_no_child_left()
         assert len(forks) == 1
-        err = capfd.readouterr().err
-        assert names[blocked] in err and "FileExistsError" in err
-        # the other process's run is complete, and no index is written
-        assert (out / names[1 - blocked] / "summary.json").is_file()
+        assert "stage solve failed" in capfd.readouterr().err
+        # the writer finished the stage it was sent
+        assert (out / "stage_000_gamma_0.000000" / "summary.json").is_file()
         assert not (out / "continuation.json").exists()
 
     @pytest.mark.parametrize("command, recipe", [("solve", "fig2"), ("spectrum", "table2"), ("orbital", "fig67")])

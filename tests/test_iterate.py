@@ -111,6 +111,32 @@ class TestSolve:
             tw.solve(soliton_problem, factor, Field(grid_1d, np.zeros(512, dtype=complex)),
                      tw.IterationConfig())
 
+    @pytest.mark.parametrize("recipe", ["table2", "fig2", "table1_col12"])
+    def test_seed_whose_norm_underflows_is_diverged_at_iteration_0(self, recipe):
+        cfg = load_recipe(recipe)
+        problem = build_problem(cfg)
+        seed = tw.gaussian_seed(problem.grid, 1e-170, 2.0)  # its Euclidean norm is 0.0
+        assert np.linalg.norm(seed.values) == 0.0
+        if problem.is_complex:
+            seed = seed.with_values(seed.values.astype(complex))
+        result = tw.solve(problem, build_factor(cfg, problem), seed, build_iteration_config(cfg))
+        assert result.status == "diverged"
+        assert result.trace.iteration_count == 0
+
+    def test_lump_solve_takes_no_blas_norm(self, monkeypatch):
+        # np.linalg.norm is a threaded BLAS ddot on the 128 x 128 lump, which
+        # stalls beside a busy sibling process such as the run writer
+        cfg = load_recipe("fig2")
+        problem = build_problem(cfg)
+        factor, seed = build_factor(cfg, problem), build_seed(cfg, problem)
+
+        def no_norm(*args, **kwargs):
+            raise AssertionError("np.linalg.norm called")
+
+        monkeypatch.setattr(np.linalg, "norm", no_norm)
+        result = tw.solve(problem, factor, seed, build_iteration_config(cfg), depth=ANDERSON_DEPTH)
+        assert result.status == "converged"
+
     def test_complex_seed_on_real_problem_rejected(self, ground_state_problem, grid_1d):
         seed = tw.gaussian_seed(grid_1d, 1.0, 2.0)
         factor = tw.petviashvili_factor("optimal", ground_state_problem)

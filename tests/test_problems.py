@@ -125,6 +125,17 @@ class TestGroundState:
         with pytest.raises(SingularOperatorError):
             tw.nls_ground_state(V, mu_star, g)
 
+    def test_solves_match_lu_solve_bit_for_bit(self, ground_state_problem, grid_1d):
+        from scipy.linalg import lu_factor, lu_solve
+
+        m = grid_1d.point_count
+        L_dense = np.column_stack([ground_state_problem.apply_L(Field(grid_1d, e)).values for e in np.eye(m)])
+        factorization = lu_factor(L_dense)
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            b = Field(grid_1d, rng.normal(size=m))
+            assert np.array_equal(ground_state_problem.solve_L(b).values, lu_solve(factorization, b.values))
+
     def test_callable_potential_accepted(self, grid_1d):
         problem = tw.nls_ground_state(lambda x: 1 / np.cosh(x) ** 2, 1.3, grid_1d)
         u = random_field(problem, seed=3)
