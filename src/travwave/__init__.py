@@ -11,7 +11,6 @@ from .continuation import ContinuationResult, HomotopyPath, StageResult, continu
 from .diagnostics import (
     OrbitFit,
     SpectrumReport,
-    decompose_error,
     fit_phase_line,
     iteration_matrix_action,
     iteration_matrix_spectrum,
@@ -53,7 +52,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ContinuationResult", "HomotopyPath", "StageResult", "continue_solve",
-    "OrbitFit", "SpectrumReport", "decompose_error", "fit_phase_line",
+    "OrbitFit", "SpectrumReport", "fit_phase_line",
     "iteration_matrix_action", "iteration_matrix_spectrum",
     "jacobian_spectrum", "orbit_match", "spectrum_shift_check",
     "symmetry_generators", "top_eigenvalues",

@@ -57,6 +57,8 @@ def load_config(path: str | Path) -> dict:
             return json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, unreadable, not UTF-8
+        raise ConfigError(f"--config: cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
 
@@ -316,6 +318,8 @@ def read_profile_csv(path: str | Path, problem, key: str = "seed.path") -> Field
             rows = list(csv.reader(fh))
     except FileNotFoundError:
         raise ConfigError(f"{key}: profile file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, unreadable, not UTF-8
+        raise ConfigError(f"{key}: cannot read profile {path}: {exc}") from None
     grid = problem.grid
     names = AXIS_NAMES[:len(grid.axes)]
     try:

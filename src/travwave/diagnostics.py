@@ -3,20 +3,19 @@
 Mechanizes the local convergence theory: spectra of the classical iteration
 matrix S = L^{-1} N'(u*) and of the stabilized-map Jacobian
 F'(u*) = S + u* (grad s(u*)), hypothesis reports for the convergence theorem,
-symmetry generators and their eigenrelations, error decomposition along
-{u*} + span(generators), and orbital-convergence identification (phase-line
-fit, orbit-parameter estimation).
+symmetry generators and their eigenrelations, and orbital-convergence
+identification (phase-line fit, orbit-parameter estimation).
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 from .factors import StabilizingFactor
-from .linops import VectorSpace, real_inner
+from .linops import VectorSpace
 from .problems import ProblemModel
 from .spectral import Field, derivative
 
@@ -66,7 +65,6 @@ class SpectrumReport:
     near_unit: np.ndarray            # |.| within UNIT_TOL of 1
     dimension: int
     k: int
-    solver: str                      # always "arnoldi"; kept as a report key
     eigenvectors: np.ndarray         # columns; not serialized
     converged: bool = True
     spare_pairs: tuple = ()          # (eigenvalue, eigenvector) past the top k; not serialized
@@ -88,7 +86,6 @@ class SpectrumReport:
             "near_unit_modulus": [bool(b) for b in self.near_unit],
             "dimension": self.dimension,
             "k": self.k,
-            "solver": self.solver,
             "converged": self.converged,
             "verified": self.verified,
         }
@@ -147,7 +144,7 @@ def _report(action: Callable[[np.ndarray], np.ndarray], dimension: int, eigvals:
     near_unit = np.abs(np.abs(eigvals) - 1.0) <= UNIT_TOL
     return SpectrumReport(
         eigenvalues=eigvals, residuals=residuals, near_unit=near_unit,
-        dimension=dimension, k=k, solver="arnoldi", eigenvectors=eigvecs,
+        dimension=dimension, k=k, eigenvectors=eigvecs,
         converged=converged, **extra,
     )
 
@@ -299,7 +296,7 @@ def spectrum_shift_check(problem: ProblemModel, factor: StabilizingFactor, u_sta
 
 
 # ---------------------------------------------------------------------------
-# symmetries and error decomposition
+# symmetries
 
 
 def symmetry_generators(problem: ProblemModel, u: Field) -> list[Field]:
@@ -313,39 +310,6 @@ def symmetry_generators(problem: ProblemModel, u: Field) -> list[Field]:
         else:
             raise ValueError(f"unknown symmetry {name!r}")
     return gens
-
-
-class ErrorDecomposition(NamedTuple):
-    alpha: float
-    betas: np.ndarray
-    z: Field
-    gram_condition: float
-
-
-def decompose_error(e: Field, u_star: Field, generators: list[Field]) -> ErrorDecomposition:
-    """Orthogonal projection of e onto span{u*, generators} plus remainder z.
-
-    Coefficients come from a Gram solve under the real pairing Re<.,.>; this
-    is an orthogonal approximation of the oblique invariant-subspace
-    decomposition, accurate to second order near u*.
-    """
-    basis = [u_star, *generators]
-    n = len(basis)
-    gram = np.empty((n, n))
-    rhs = np.empty(n)
-    for i, bi in enumerate(basis):
-        rhs[i] = real_inner(bi, e)
-        for j, bj in enumerate(basis):
-            gram[i, j] = real_inner(bi, bj)
-    cond = float(np.linalg.cond(gram))
-    if not np.isfinite(cond) or cond > 1e12:
-        raise ValueError(f"ill-conditioned Gram matrix (cond = {cond:.3g}); "
-                         "basis {u*, generators} is numerically dependent")
-    coef = np.linalg.solve(gram, rhs)
-    z = e
-    for c, b in zip(coef, basis):
-        z = z - float(c) * b
-    return ErrorDecomposition(float(coef[0]), coef[1:], z, cond)
 
 
 # ---------------------------------------------------------------------------

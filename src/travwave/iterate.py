@@ -40,22 +40,17 @@ ANDERSON_DEPTH = 5
 class IterationConfig:
     max_iterations: int = 500
     residual_tolerance: float = 1e-12
-    factor_tolerance: float = 1e-13
     divergence_guard: float = 1e8
-    stop_rule: str = "residual"  # "residual" | "residual_and_factor"
 
     def __post_init__(self):
         if isinstance(self.max_iterations, bool) or not isinstance(self.max_iterations, Integral):
             raise ValueError(f"max_iterations must be an integer, got {self.max_iterations!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        for name in ("residual_tolerance", "factor_tolerance"):
-            if not 0 < getattr(self, name) < np.inf:  # NaN fails every comparison
-                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
+        if not 0 < self.residual_tolerance < np.inf:  # NaN fails every comparison
+            raise ValueError(f"residual_tolerance must be positive and finite, got {self.residual_tolerance!r}")
         if not 1 < self.divergence_guard < np.inf:
             raise ValueError(f"divergence_guard must be finite and exceed 1, got {self.divergence_guard!r}")
-        if self.stop_rule not in ("residual", "residual_and_factor"):
-            raise ValueError(f"unknown stop_rule {self.stop_rule!r}")
 
 
 @dataclass
@@ -96,8 +91,8 @@ class SolveResult:
 
 def solve(problem: ProblemModel, factor: StabilizingFactor | None, u0: Field,
           config: IterationConfig | None = None, depth: int = 0) -> SolveResult:
-    """Iterate L u_{n+1} = s(u_n) N(u_n) until the stop rule, the divergence
-    guard, or max_iterations.
+    """Iterate L u_{n+1} = s(u_n) N(u_n) until RE_n <= residual_tolerance, the
+    divergence guard, or max_iterations.
 
     Each iteration evaluates one (L u, N(u)) pair in the problem's
     coefficients and takes the residual, ||u||, the factor and the next
@@ -238,8 +233,7 @@ def _iterate(problem: ProblemModel, u: Field, config: IterationConfig | None,
                 or norm_n > cfg.divergence_guard):
             status = DIVERGED
             break
-        if re_n <= cfg.residual_tolerance and (cfg.stop_rule == "residual" or factor is None
-                                               or disc <= cfg.factor_tolerance):
+        if re_n <= cfg.residual_tolerance:
             # a run that converges to u = 0 has collapsed
             status = COLLAPSED if norm_n < COLLAPSE_RATIO * records[0][2] else CONVERGED
             break

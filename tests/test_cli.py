@@ -32,6 +32,8 @@ from travwave.cli import (
 from travwave.spectral import Field, Grid1D, Grid2D
 
 RECIPES = ["table1_col12", "table1_col34", "table2", "fig2", "fig67"]
+SPECTRUM_KEYS = {"eigenvalues", "moduli", "eigen_residuals", "near_unit_modulus", "dimension", "k",
+                 "converged", "verified"}
 
 
 def soliton_config(outdir, **overrides):
@@ -227,7 +229,7 @@ class TestSpectrum:
         for name in ("spectrum_S.json", "spectrum_F.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
         spec = json.loads((tmp_path / "a" / "spectrum_S.json").read_text())
-        assert spec["solver"] == "arnoldi"
+        assert set(spec) == SPECTRUM_KEYS
         assert spec["verified"] is True
 
     def test_perturbed_eigenvectors_are_reported_unverified(self, tmp_path, monkeypatch):
@@ -660,6 +662,11 @@ class TestRecipes:
         ("spectrum", "table1_col34", ["problem", "sign"], True,
          "problem.sign: expected an integer, got True"),
         ("spectrum", "table2", ["problem", "sign"], -1, "problem: unknown keys ['sign']"),
+        # the loop stops on residual_tolerance alone; the stop-rule keys are retired
+        *(("solve", "table2", ["iteration", key], value,
+           f"iteration: unknown keys [{key!r}]; allowed: "
+           "['divergence_guard', 'engine', 'max_iterations', 'residual_tolerance']")
+          for key, value in (("stop_rule", "residual"), ("factor_tolerance", 1e-13))),
     ])
     def test_ignored_or_mistyped_key_exits_2(self, tmp_path, capsys, command, recipe, keys, value,
                                              message):
@@ -831,9 +838,7 @@ class TestSummary:
         return {
             "max_iterations": block.get("max_iterations", 500),
             "residual_tolerance": block.get("residual_tolerance", 1e-12),
-            "factor_tolerance": block.get("factor_tolerance", 1e-13),
             "divergence_guard": block.get("divergence_guard", 1e8),
-            "stop_rule": block.get("stop_rule", "residual"),
         }
 
     @pytest.mark.parametrize("name", RECIPES)
@@ -868,13 +873,11 @@ class TestSummary:
     def test_parsed_config_is_written(self, tmp_path):
         out = tmp_path / "run"
         cfg = soliton_config(out)
-        cfg["iteration"] = {"max_iterations": 40, "residual_tolerance": 1e-11,
-                            "factor_tolerance": 1e-10, "stop_rule": "residual_and_factor"}
+        cfg["iteration"] = {"max_iterations": 40, "residual_tolerance": 1e-11}
         assert main(["solve", "--config", write_config(tmp_path, cfg)]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["iteration_config"] == {
-            "max_iterations": 40, "residual_tolerance": 1e-11, "factor_tolerance": 1e-10,
-            "divergence_guard": 1e8, "stop_rule": "residual_and_factor"}
+            "max_iterations": 40, "residual_tolerance": 1e-11, "divergence_guard": 1e8}
 
 
 class TestWriters:
@@ -1040,6 +1043,31 @@ class TestBadProfiles:
         assert main(["spectrum", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "own")]) == 0
         assert ((tmp_path / "own" / "spectrum_S.json").read_bytes()
                 == (tmp_path / "run" / "spectrum_S.json").read_bytes())
+
+
+class TestUnreadablePaths:
+    """A path that names a directory or a file that is not UTF-8 is a config
+    error (exit 2) naming the key and the path, not a runtime failure."""
+
+    @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+    @pytest.mark.parametrize("key", ["--config", "seed.path", "diagnostics.state_path"])
+    def test_unreadable_path_exits_2(self, tmp_path, capsys, kind, key):
+        bad = tmp_path / "bad"
+        if kind == "directory":
+            bad.mkdir()
+        else:
+            bad.write_bytes(b"x,re,im\r\n\xff\xfe,1,0\r\n")
+        cfg = soliton_config(tmp_path / "out")
+        if key == "seed.path":
+            cfg["seed"] = {"kind": "file", "path": str(bad)}
+        elif key == "diagnostics.state_path":
+            cfg["diagnostics"] = {"state": "file", "state_path": str(bad)}
+        config = str(bad) if key == "--config" else write_config(tmp_path, cfg)
+        command = "solve" if key == "seed.path" else "spectrum"
+        assert main([command, "--config", config, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {key}: cannot read" in err and str(bad) in err
+        assert not list((tmp_path / "out").glob("*"))
 
 
 class TestCollapse:
