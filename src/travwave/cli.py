@@ -36,7 +36,7 @@ import numpy as np
 
 from . import diagnostics, factors, problems
 from .continuation import HomotopyPath, continue_solve
-from .iterate import ANDERSON_DEPTH, COLLAPSED, IterationConfig, SolveResult, newton_solve, solve
+from .iterate import COLLAPSED, IterationConfig, SolveResult, newton_solve, solve
 from .spectral import Field, Grid1D, Grid2D, derivative
 
 FLOAT_FMT = "%.17g"
@@ -125,19 +125,18 @@ def _variant(block, path: str, key: str, variants: dict, default: str | None = N
     return values.pop(key, default), values
 
 
-def _dataclass(cls, block, path: str, extra: dict = {}):
+def _dataclass(cls, block, path: str):
     """`cls` built from the block at `path`, whose keys are the fields of `cls`
-    (required unless they have a default) and the `extra` keys; with it, the
-    values given for the extra keys."""
-    hints, required, optional = get_type_hints(cls), {}, dict(extra)
+    (required unless they have a default).  The messages of `cls`'s own
+    checks start with the field they name, which the error extends to its key path."""
+    hints, required, optional = get_type_hints(cls), {}, {}
     for f in fields(cls):
         (required if f.default is MISSING else optional)[f.name] = hints[f.name]
     values = _read(block, path, required, optional)
-    rest = {key: values.pop(key) for key in extra if key in values}
     try:
-        return cls(**values), rest
+        return cls(**values)
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        raise ConfigError(f"{path}.{exc}") from None
 
 
 GRID_1D = {"half_length": float, "points": int}
@@ -197,21 +196,8 @@ def build_problem(cfg: dict):
         raise ConfigError(f"problem: {exc}") from None
 
 
-# the mixing depth `solve` runs each stabilized-map engine with
-MIXING_DEPTH = {"stabilized": 0, "anderson": ANDERSON_DEPTH}
-
-
-def _iteration(cfg: dict) -> tuple[IterationConfig, str]:
-    """The iteration block: the IterationConfig fields plus `engine`."""
-    itconfig, rest = _dataclass(IterationConfig, cfg.get("iteration", {}), "iteration", {"engine": str})
-    engine = rest.get("engine", "stabilized")
-    if engine not in (*MIXING_DEPTH, "newton"):
-        raise ConfigError(f"iteration.engine: unknown engine {engine!r}")
-    return itconfig, engine
-
-
 def build_iteration_config(cfg: dict) -> IterationConfig:
-    return _iteration(cfg)[0]
+    return _dataclass(IterationConfig, cfg.get("iteration", {}), "iteration")
 
 
 def build_factor(cfg: dict, problem):
@@ -333,6 +319,8 @@ def read_profile_csv(path: str | Path, problem, key: str = "seed.path") -> Field
     expected = int(np.prod(grid.shape))
     if values.size != expected:
         raise ConfigError(f"{key}: profile has {values.size} nodes, grid needs {expected}")
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"{key}: {path} holds a non-finite 're' or 'im' value")
     # the writer's FLOAT_FMT round-trips the nodes exactly; allow for other writers' rounding
     mesh = np.meshgrid(*(axis.nodes for axis in grid.axes), indexing="ij")
     for name, column, nodes, axis in zip(names, coords.T, mesh, grid.axes):
@@ -349,13 +337,14 @@ def read_profile_csv(path: str | Path, problem, key: str = "seed.path") -> Field
 
 
 def _json_dump(path: Path, payload: dict) -> None:
+    """The payload as strict JSON: a non-finite number, which it cannot hold, is written as null."""
+    payload = json.loads(json.dumps(payload), parse_constant=lambda _: None)  # NaN, Infinity, -Infinity
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
-def summary_payload(seed: dict | None, factor, result: SolveResult, engine: str,
-                    itconfig: IterationConfig) -> dict:
+def summary_payload(seed: dict | None, factor, result: SolveResult, itconfig: IterationConfig) -> dict:
     tr = result.trace
     problem = factor.problem
     axes = problem.grid.axes
@@ -365,9 +354,7 @@ def summary_payload(seed: dict | None, factor, result: SolveResult, engine: str,
         "status": tr.status,
         "iterations": tr.iteration_count,
         "final_residual": tr.final_residual,
-        "final_factor_discrepancy": None if np.isnan(tr.final_factor_discrepancy)
-        else tr.final_factor_discrepancy,
-        "engine": engine,
+        "final_factor_discrepancy": tr.final_factor_discrepancy,
         "p": problem.degree,
         "gamma": factor.gamma,
         "q": factor.degree,
@@ -383,10 +370,10 @@ def summary_payload(seed: dict | None, factor, result: SolveResult, engine: str,
 # commands
 
 
-def _run_engine(engine: str, factor, seed: Field, itconfig: IterationConfig) -> SolveResult:
-    if engine == "newton":
+def _run_engine(factor, seed: Field, itconfig: IterationConfig) -> SolveResult:
+    if itconfig.engine == "newton":
         return newton_solve(factor.problem, seed, itconfig)
-    return solve(factor.problem, factor, seed, itconfig, depth=MIXING_DEPTH[engine])
+    return solve(factor.problem, factor, seed, itconfig)
 
 
 # Runs holding at least this many node values in total, over two or more
@@ -540,8 +527,7 @@ def _streams(runs: int, sample: Field) -> bool:
 
 
 @contextlib.contextmanager
-def _write_runs(outdir: Path, engine: str, itconfig: IterationConfig, runs: int = 1,
-                sample: Field | None = None):
+def _write_runs(outdir: Path, itconfig: IterationConfig, runs: int = 1, sample: Field | None = None):
     """Yields `write(run)`, which writes a run (name, seed record, factor,
     result, index entry) into `outdir / name` (see `_write_run`) and returns
     its index entry with its directory and status added.  When `runs` runs
@@ -557,7 +543,7 @@ def _write_runs(outdir: Path, engine: str, itconfig: IterationConfig, runs: int 
 
     def write(run) -> dict:
         name, seed, factor, result, entry = run
-        payload = summary_payload(seed, factor, result, engine, itconfig)
+        payload = summary_payload(seed, factor, result, itconfig)
         if writer is None:
             _write_run(outdir, name, payload, result)
         else:
@@ -579,9 +565,9 @@ def _write_runs(outdir: Path, engine: str, itconfig: IterationConfig, runs: int 
 def cmd_solve(cfg: dict, outdir: Path) -> int:
     problem = build_problem(cfg)
     factor = build_factor(cfg, problem)
-    itconfig, engine = _iteration(cfg)
-    result = _run_engine(engine, factor, build_seed(cfg, problem), itconfig)
-    with _write_runs(outdir, engine, itconfig) as write:
+    itconfig = build_iteration_config(cfg)
+    result = _run_engine(factor, build_seed(cfg, problem), itconfig)
+    with _write_runs(outdir, itconfig) as write:
         write(("", cfg.get("seed"), factor, result, {}))
     return 0
 
@@ -593,7 +579,7 @@ STATES = {state: (required, {"spectrum_k": int})
 def cmd_spectrum(cfg: dict, outdir: Path) -> int:
     problem = build_problem(cfg)
     factor = build_factor(cfg, problem)
-    itconfig, engine = _iteration(cfg)
+    itconfig = build_iteration_config(cfg)
     seed = build_seed(cfg, problem) if "seed" in cfg else None
     state_kind, diag = _variant(cfg.get("diagnostics", {}), "diagnostics", "state", STATES, default="solve")
     k, limit = diag.get("spectrum_k", 6), problem.linearization_space().dim - 1
@@ -611,11 +597,11 @@ def cmd_spectrum(cfg: dict, outdir: Path) -> int:
     else:
         if seed is None:
             raise ConfigError("missing field seed")
-        result = _run_engine(engine, factor, seed, itconfig)
-        with _write_runs(outdir, engine, itconfig) as write:
+        result = _run_engine(factor, seed, itconfig)
+        with _write_runs(outdir, itconfig) as write:
             write(("", cfg.get("seed"), factor, result, {}))
         if result.status == COLLAPSED:
-            raise RuntimeError(f"the {engine} solve collapsed to the trivial state u = 0; "
+            raise RuntimeError(f"the {itconfig.engine} solve collapsed to the trivial state u = 0; "
                                "its spectra say nothing about a traveling wave")
         state = result.final
 
@@ -634,10 +620,10 @@ def cmd_spectrum(cfg: dict, outdir: Path) -> int:
 
 
 def cmd_continue(cfg: dict, outdir: Path) -> int:
-    path, _ = _dataclass(HomotopyPath, cfg.get("continuation"), "continuation")
-    itconfig, engine = _iteration(cfg)
-    if engine not in MIXING_DEPTH:
-        raise ConfigError(f"iteration.engine: continue runs the stabilized or anderson engine, got {engine!r}")
+    path = _dataclass(HomotopyPath, cfg.get("continuation"), "continuation")
+    itconfig = build_iteration_config(cfg)
+    if itconfig.engine == "newton":
+        raise ConfigError("iteration.engine: continue runs the stabilized or anderson engine, got 'newton'")
     base_problem = build_problem(cfg)
     if base_problem.name != "benjamin_lump":
         raise ConfigError("problem.family: only benjamin_lump supports Gamma continuation")
@@ -652,7 +638,7 @@ def cmd_continue(cfg: dict, outdir: Path) -> int:
     seed = build_seed(cfg, base_problem)
     index = []
     # each stage is written as soon as it is appended: its index is final then
-    with _write_runs(outdir, engine, itconfig, len(path.values), seed) as write:
+    with _write_runs(outdir, itconfig, len(path.values), seed) as write:
         def stage_done(i: int, stage) -> None:
             basis, trace = stage.seeded_from, stage.result.trace
             record = ({"kind": "warm_start", "from_stage": basis[0]} if len(basis) == 1
@@ -663,7 +649,7 @@ def cmd_continue(cfg: dict, outdir: Path) -> int:
                                                "final_residual": trace.final_residual})))
 
         res = continue_solve(lambda gamma: requested[gamma] if gamma in requested else build_stage(gamma),
-                             path, seed, itconfig, depth=MIXING_DEPTH[engine], on_stage=stage_done)
+                             path, seed, itconfig, on_stage=stage_done)
     _json_dump(outdir / "continuation.json", {"completed": res.completed, "failed_at": res.failed_at,
                                               "stages": index})
     return 0
@@ -674,7 +660,7 @@ def cmd_orbital(cfg: dict, outdir: Path) -> int:
     if problem.name != "nls_soliton":
         raise ConfigError("problem.family: orbital experiments require nls_soliton")
     factor = build_factor(cfg, problem)
-    itconfig, engine = _iteration(cfg)
+    itconfig = build_iteration_config(cfg)
     listed = _read(cfg.get("orbital"), "orbital", {"experiments": list[dict]})["experiments"]
     if not listed:
         raise ConfigError("orbital.experiments: expected at least one experiment")
@@ -688,9 +674,9 @@ def cmd_orbital(cfg: dict, outdir: Path) -> int:
         runs[name] = i, run
 
     solved = [(name, {"kind": "exact_perturbed", **run}, factor,
-               _run_engine(engine, factor, _perturbed_exact(problem, **run), itconfig), run)
+               _run_engine(factor, _perturbed_exact(problem, **run), itconfig), run)
               for name, (_, run) in runs.items()]
-    with _write_runs(outdir, engine, itconfig, len(solved), solved[0][3].final) as write:
+    with _write_runs(outdir, itconfig, len(solved), solved[0][3].final) as write:
         index = [write(run) for run in solved]
     for name, _, _, result, run in solved:
         fit = diagnostics.orbit_match(result.final, problem.exact_solution)

@@ -25,12 +25,12 @@ class HomotopyPath:
     def __post_init__(self):
         vals = tuple(float(v) for v in self.values)
         if len(vals) < 1:
-            raise ValueError("path needs at least one parameter value")
+            raise ValueError("values must hold at least one parameter value")
         if not all(abs(v) < math.inf for v in vals):  # NaN fails the comparison
-            raise ValueError(f"path values must be finite, got {vals}")
+            raise ValueError(f"values must be finite, got {vals}")
         diffs = [b - a for a, b in zip(vals, vals[1:])]
         if diffs and not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
-            raise ValueError(f"path values must be strictly monotone, got {vals}")
+            raise ValueError(f"values must be strictly monotone, got {vals}")
         if isinstance(self.max_bisections, bool) or not isinstance(self.max_bisections, Integral):
             raise ValueError(f"max_bisections must be an integer, got {self.max_bisections!r}")
         if self.max_bisections < 0:
@@ -67,7 +67,7 @@ def _extrapolate(stages: list[StageResult], value: float) -> Field:
 
 
 def continue_solve(factor_family: Callable[[float], StabilizingFactor], path: HomotopyPath,
-                   seed: Field, config: IterationConfig | None = None, depth: int = 0,
+                   seed: Field, config: IterationConfig | None = None,
                    on_stage: Callable[[int, StageResult], None] | None = None) -> ContinuationResult:
     """Solve the family along the path.  The first stage starts from `seed`,
     each later one from the extrapolation of the last (at most three) converged
@@ -77,8 +77,8 @@ def continue_solve(factor_family: Callable[[float], StabilizingFactor], path: Ho
     carries the stage's problem (`factor.problem`).  On a stage failure, the
     step from the last converged value is bisected up to `path.max_bisections`
     levels; if the target still fails, the partial results are returned flagged.
-    Every stage is solved by this module's `solve` with the Anderson mixing
-    `depth` (0 for the plain map).  `on_stage(i, stage)` is called as each
+    Every stage is solved by this module's `solve` on the config's engine,
+    `stabilized` or `anderson`.  `on_stage(i, stage)` is called as each
     converged stage is appended; a stage's index i never changes afterwards.
     """
     cfg = config or IterationConfig()
@@ -88,7 +88,7 @@ def continue_solve(factor_family: Callable[[float], StabilizingFactor], path: Ho
         basis = out.stages[-3:]
         start = _extrapolate(basis, value) if basis else seed
         factor = factor_family(value)
-        result = solve(factor.problem, factor, start, cfg, depth=depth)
+        result = solve(factor.problem, factor, start, cfg)
         if result.status != CONVERGED:
             return False
         out.stages.append(StageResult(value, result, requested, factor,

@@ -1,15 +1,16 @@
-"""Fixed-point engines: the classical map L u_{n+1} = N(u_n), the stabilized
-map L u_{n+1} = s(u_n) N(u_n), either one with Anderson mixing, and damped
-Newton (matrix-free GMRES, right-preconditioned by L^{-1}) for states the
-stabilized family cannot reach.
+"""Fixed-point engines, named by `IterationConfig.engine`: `stabilized`, the map
+L u_{n+1} = s(u_n) N(u_n) (the classical L u_{n+1} = N(u_n) without a factor);
+`anderson`, that map with Anderson mixing; and `newton`, damped Newton
+(matrix-free GMRES, right-preconditioned by L^{-1}) for states the stabilized
+family cannot reach.
 
 The engines run one loop and differ only in its step.  Each iteration
 records, from one (L u, N(u)) pair at u_n, the residual monitor
 RE_n = ||L u_n - N(u_n)|| (Euclidean over node values, realified on complex
 fields), the factor discrepancy |s(u_n) - 1| (NaN for Newton and the
-classical map) and ||u_n||.  Divergence is a reported outcome, never an
-exception; so is a collapse, a run that converges to the trivial solution
-u = 0 (final norm below COLLAPSE_RATIO times the first).
+classical map) and ||u_n||.  Divergence, overflow included, is a reported
+outcome, never an exception; so is a collapse, a run that converges to the
+trivial solution u = 0 (final norm below COLLAPSE_RATIO times the first).
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ COLLAPSE_RATIO = 1e-8
 # Anderson mixing depth of the `anderson` engine: on fig2's continuation AA(3),
 # AA(5) and AA(8) take 175, 153 and 141 iterations, so a deeper history buys little
 ANDERSON_DEPTH = 5
+# the mixing depth `solve` runs each stabilized-map engine with
+MIXING_DEPTH = {"stabilized": 0, "anderson": ANDERSON_DEPTH}
 
 
 @dataclass(frozen=True)
@@ -41,6 +44,7 @@ class IterationConfig:
     max_iterations: int = 500
     residual_tolerance: float = 1e-12
     divergence_guard: float = 1e8
+    engine: str = "stabilized"
 
     def __post_init__(self):
         if isinstance(self.max_iterations, bool) or not isinstance(self.max_iterations, Integral):
@@ -51,6 +55,8 @@ class IterationConfig:
             raise ValueError(f"residual_tolerance must be positive and finite, got {self.residual_tolerance!r}")
         if not 1 < self.divergence_guard < np.inf:
             raise ValueError(f"divergence_guard must be finite and exceed 1, got {self.divergence_guard!r}")
+        if self.engine not in (*MIXING_DEPTH, "newton"):
+            raise ValueError(f"engine must be one of {[*MIXING_DEPTH, 'newton']}, got {self.engine!r}")
 
 
 @dataclass
@@ -90,7 +96,7 @@ class SolveResult:
 
 
 def solve(problem: ProblemModel, factor: StabilizingFactor | None, u0: Field,
-          config: IterationConfig | None = None, depth: int = 0) -> SolveResult:
+          config: IterationConfig | None = None) -> SolveResult:
     """Iterate L u_{n+1} = s(u_n) N(u_n) until RE_n <= residual_tolerance, the
     divergence guard, or max_iterations.
 
@@ -98,19 +104,14 @@ def solve(problem: ProblemModel, factor: StabilizingFactor | None, u0: Field,
     coefficients and takes the residual, ||u||, the factor and the next
     iterate from it.  With factor=None this runs the classical map (for
     divergence demonstrations); the factor-discrepancy channel records NaN.
-    With depth > 0 the next iterate is the Anderson mixing of the map's
-    images over the last `depth` steps (`_Anderson`); the records are still
-    those of each mixed iterate's own pair.
+    The next iterate is the Anderson mixing (`_Anderson`) of the map's images
+    over the last MIXING_DEPTH[config.engine] steps, none for `stabilized`;
+    the records are those of each iterate's own pair.  `newton` is `newton_solve`'s.
     """
-    if isinstance(depth, bool) or not isinstance(depth, Integral) or depth < 0:
-        raise ValueError(f"depth must be a nonnegative integer, got {depth!r}")
-    if depth:
-        step = _Anderson(depth)
-    else:
-        def step(pair: OperatorPair, s: float) -> OperatorPair:
-            return problem.pair(*pair.step(s))
-
-    return _iterate(problem, _seed(problem, u0), config, factor, step)
+    cfg = config or IterationConfig()
+    if cfg.engine not in MIXING_DEPTH:
+        raise ValueError(f"solve runs the engines {list(MIXING_DEPTH)}; newton_solve runs {cfg.engine!r}")
+    return _iterate(problem, _seed(problem, u0), cfg, factor, _Anderson(MIXING_DEPTH[cfg.engine]))
 
 
 class _Anderson:
@@ -122,7 +123,8 @@ class _Anderson:
     gamma solves the normal equations (dF dF^T) gamma = dF f_n.  Vectors are
     the pair's coefficients viewed as reals.  The differences live in ring
     buffers and the Gram matrix dF dF^T gains one row per step; a singular
-    or non-finite solve drops the history and takes the plain step.  The
+    or non-finite solve drops the history and takes the plain step.  Depth 0
+    keeps no history: its step is the plain map's image G(u_n).  The
     reductions are einsum's own loops, not BLAS calls, so the iterates do not
     depend on the BLAS thread count.
     """
@@ -134,6 +136,8 @@ class _Anderson:
 
     def __call__(self, pair: OperatorPair, s: float) -> OperatorPair:
         image = pair.image(s)
+        if not self.depth:
+            return pair.problem.pair(pair.field(image), image)
         g = image.reshape(-1).view(np.float64)
         f = (image - pair.uc).reshape(-1).view(np.float64)
         if self.dF is None:
@@ -199,7 +203,8 @@ def _seed(problem: ProblemModel, u0: Field) -> Field:
     return problem.project_pinned(u0)
 
 
-def _iterate(problem: ProblemModel, u: Field, config: IterationConfig | None,
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is a divergence the guard reports
+def _iterate(problem: ProblemModel, u: Field, cfg: IterationConfig,
              factor: StabilizingFactor | None,
              step: Callable[[OperatorPair, float], OperatorPair | str]) -> SolveResult:
     """The loop both engines run from the seed u.
@@ -210,7 +215,6 @@ def _iterate(problem: ProblemModel, u: Field, config: IterationConfig | None,
     the classical map), returns the pair at u_{n+1}, or the status that ends
     the run when no step can be taken.
     """
-    cfg = config or IterationConfig()
     # exact and BLAS-free: a nonzero seed whose norm underflows is still nonzero
     if not np.any(u.values) or not np.all(np.isfinite(u.values)):
         raise ValueError("seed must be nonzero and finite")

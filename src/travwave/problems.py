@@ -170,11 +170,6 @@ class OperatorPair:
             return self.problem.solve_L(self.u.with_values(self.Nc * s)).values
         return (self.Nc * s) * fs.inverse_symbol
 
-    def step(self, s: float) -> tuple[Field, np.ndarray]:
-        """The solution u' of L u' = s N(u), with its coefficients."""
-        coeffs = self.image(s)
-        return self.field(coeffs), coeffs
-
 
 @dataclass(frozen=True)
 class SolitonParameters:

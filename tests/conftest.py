@@ -15,6 +15,12 @@ def reference_jacobian_spectrum(problem, factor, u_star, k):
     return tw.top_eigenvalues(action, space.dim, k)
 
 
+def map_step(problem, u, s):
+    """The stabilized map's image of u: the solution u' of L u' = s N(u)."""
+    pair = problem.pair(u)
+    return pair.field(pair.image(s))
+
+
 def shift_law_deviation(spec_S, p, q, eigenvalues):
     """Largest distance between the top k eigenvalues of F' given and the
     shift law's prediction: S's reported eigenvalues with the one nearest p

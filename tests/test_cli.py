@@ -5,6 +5,7 @@ import os
 import select
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from travwave.cli import (
     build_factor,
     build_iteration_config,
     build_problem,
+    build_seed,
     load_recipe,
     main,
     make_parser,
@@ -176,7 +178,7 @@ class TestSolve:
         assert main(["solve", "--config", cfg_path]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["status"] == "converged"
-        assert summary["engine"] == "newton"
+        assert summary["iteration_config"]["engine"] == "newton"
 
     def test_anderson_engine(self, tmp_path):
         out = tmp_path / "anderson"
@@ -184,7 +186,7 @@ class TestSolve:
         cfg["iteration"]["engine"] = "anderson"
         assert main(["solve", "--config", write_config(tmp_path, cfg)]) == 0
         summary = json.loads((out / "summary.json").read_text())
-        assert (summary["engine"], summary["status"]) == ("anderson", "converged")
+        assert (summary["iteration_config"]["engine"], summary["status"]) == ("anderson", "converged")
 
     @pytest.mark.parametrize("family", ["petviashvili", "inner:f=square", "inner:f=cube",
                                         "norm:1", "norm:2", "norm:inf"])
@@ -468,7 +470,7 @@ class TestContinue:
         assert index["completed"] and len(index["stages"]) == 2
         for entry in index["stages"]:
             summary = json.loads((out / entry["directory"] / "summary.json").read_text())
-            assert (summary["engine"], summary["status"]) == ("anderson", "converged")
+            assert (summary["iteration_config"]["engine"], summary["status"]) == ("anderson", "converged")
 
     def test_each_requested_stage_is_built_once(self, tmp_path, monkeypatch):
         builds = []
@@ -839,6 +841,7 @@ class TestSummary:
             "max_iterations": block.get("max_iterations", 500),
             "residual_tolerance": block.get("residual_tolerance", 1e-12),
             "divergence_guard": block.get("divergence_guard", 1e8),
+            "engine": block.get("engine", "stabilized"),
         }
 
     @pytest.mark.parametrize("name", RECIPES)
@@ -849,8 +852,7 @@ class TestSummary:
         seed = tw.gaussian_seed(problem.grid, 1.0, 2.0)
         result = tw.solve(problem, factor, problem.project_pinned(seed),
                           tw.IterationConfig(max_iterations=1))
-        payload = summary_payload(cfg.get("seed"), factor, result, "stabilized",
-                                  build_iteration_config(cfg))
+        payload = summary_payload(cfg.get("seed"), factor, result, build_iteration_config(cfg))
         legacy = dict(payload, iteration_config=self.legacy_iteration_config(cfg))
         assert (json.dumps(payload, indent=2, sort_keys=True)
                 == json.dumps(legacy, indent=2, sort_keys=True))
@@ -865,7 +867,7 @@ class TestSummary:
         summary = json.loads((first / "summary.json").read_text())
         rerun = {"problem": {**summary["problem"], "grid": summary["grid"]},
                  "factor": {"descriptor": summary["factor"]},
-                 "iteration": {**summary["iteration_config"], "engine": summary["engine"]},
+                 "iteration": summary["iteration_config"],
                  "seed": summary["seed"]}
         assert main(["solve", "--config", write_config(tmp_path, rerun, "rerun.json"), "--out", str(again)]) == 0
         assert tree_bytes(first) == tree_bytes(again)
@@ -877,7 +879,7 @@ class TestSummary:
         assert main(["solve", "--config", write_config(tmp_path, cfg)]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["iteration_config"] == {
-            "max_iterations": 40, "residual_tolerance": 1e-11, "divergence_guard": 1e8}
+            "max_iterations": 40, "residual_tolerance": 1e-11, "divergence_guard": 1e8, "engine": "stabilized"}
 
 
 class TestWriters:
@@ -999,6 +1001,26 @@ class TestBadProfiles:
         assert f"config error: {key}: profile's x coordinates are not the nodes" in capsys.readouterr().err
         assert not (tmp_path / "out" / "summary.json").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("command, key", [("solve", "seed.path"), ("spectrum", "diagnostics.state_path")])
+    def test_non_finite_profile_value_exits_2(self, tmp_path, capsys, command, key, value):
+        """One non-finite 're' value is a config error naming the key and the
+        path, not a seed check or an Arnoldi failure at run time."""
+        cfg = load_recipe("table1_col12")
+        profile = tmp_path / "profile.csv"
+        write_profile_csv(profile, build_seed(cfg, build_problem(cfg)))
+        lines = profile.read_text().splitlines()
+        x, _, im = lines[256].split(",")
+        lines[256] = f"{x},{value},{im}"
+        profile.write_text("\r\n".join(lines) + "\r\n")
+        if command == "solve":
+            cfg["seed"] = {"kind": "file", "path": str(profile)}
+        else:
+            cfg["diagnostics"] = {"state": "file", "state_path": str(profile)}
+        assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 2
+        assert f"config error: {key}: {profile} holds a non-finite 're' or 'im' value" in capsys.readouterr().err
+        assert not list((tmp_path / "out").glob("*"))
+
     def test_lump_profile_coordinates_checked_on_both_axes(self, tmp_path):
         cfg = lump_config(tmp_path / "x", points=8)
         field = tw.gaussian_seed(build_problem(cfg).grid, 2.0, 2.0)
@@ -1068,6 +1090,27 @@ class TestUnreadablePaths:
         err = capsys.readouterr().err
         assert f"config error: {key}: cannot read" in err and str(bad) in err
         assert not list((tmp_path / "out").glob("*"))
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("recipe, seed", [
+        ("table1_col12", {"kind": "gaussian", "amplitude": 1e200, "width": 2.0}),
+        ("fig67", {"kind": "gaussian", "amplitude": 1e120, "width": 2.0}),
+    ])
+    def test_overflowing_seed_is_a_divergence_written_as_strict_json(self, tmp_path, recipe, seed):
+        """N(u) of the seed overflows: the run reports a divergence without a
+        warning, and writes its non-finite residual as null."""
+        cfg = {**load_recipe(recipe), "seed": seed}
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["solve", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
+        assert summary["status"] == "diverged" and summary["final_residual"] is None
 
 
 class TestCollapse:

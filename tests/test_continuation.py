@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 
 import travwave as tw
 from travwave.cli import build_grid, build_iteration_config, build_seed, load_recipe
-from travwave.iterate import ANDERSON_DEPTH
 from travwave.problems import ProblemModel
 from travwave.spectral import Field, Grid1D, Grid2D
 
@@ -51,7 +51,7 @@ def coarse_lump_grid():
 
 @pytest.fixture(scope="module")
 def fig2_path():
-    """fig2's continuation as a library call, by mixing depth (0: the plain map)."""
+    """fig2's continuation as a library call, by engine."""
     cfg = load_recipe("fig2")
     grid = build_grid(cfg["problem"])
     family = lambda g: tw.benjamin_lump(g, cfg["problem"]["sound_speed"], grid)
@@ -59,9 +59,9 @@ def fig2_path():
     seed = build_seed(cfg, family(0.0))
 
     @functools.cache
-    def run(depth):
+    def run(engine):
         return tw.continue_solve(factors_of(family, cfg["factor"]["descriptor"]), path, seed,
-                                 build_iteration_config(cfg), depth=depth)
+                                 dataclasses.replace(build_iteration_config(cfg), engine=engine))
 
     return run
 
@@ -199,7 +199,7 @@ class TestPredictor:
         assert res.stages[4].seeded_from == (0.5, 1.0, 3.0)
 
     def test_fig2_path_converges_within_budget(self, fig2_path):
-        res = fig2_path(0)
+        res = fig2_path("stabilized")
         assert res.completed and len(res.stages) == len(load_recipe("fig2")["continuation"]["values"])
         assert all(s.result.trace.final_residual <= 1e-10 for s in res.stages)
         # 744 iterations with plain warm starts, 563 with the quadratic predictor
@@ -208,7 +208,7 @@ class TestPredictor:
 
 class TestAndersonPath:
     def test_fig2_path_stays_on_the_plain_engine_states(self, fig2_path):
-        plain, mixed = fig2_path(0), fig2_path(ANDERSON_DEPTH)
+        plain, mixed = fig2_path("stabilized"), fig2_path("anderson")
         assert mixed.completed
         assert [s.parameter_value for s in mixed.stages] == [s.parameter_value for s in plain.stages]
         for stage, ref in zip(mixed.stages, plain.stages):
@@ -219,18 +219,18 @@ class TestAndersonPath:
         assert sum(s.result.trace.iteration_count for s in mixed.stages) <= 200
 
     def test_every_stage_solve_is_mixed(self, monkeypatch):
-        depths = []
+        engines = []
 
-        def recording_solve(problem, factor, start, cfg, **options):
-            depths.append(options.get("depth"))
-            return tw.solve(problem, factor, start, cfg, **options)
+        def recording_solve(problem, factor, start, cfg):
+            engines.append(cfg.engine)
+            return tw.solve(problem, factor, start, cfg)
 
         monkeypatch.setattr(tw.continuation, "solve", recording_solve)
         grid = coarse_lump_grid()
         family = lambda g: tw.benjamin_lump(g, 1.0, grid)
         res = tw.continue_solve(factors_of(family), tw.HomotopyPath(values=(0.0, 0.1)),
                                 tw.gaussian_seed(grid, 2.0, 2.0),
-                                tw.IterationConfig(max_iterations=500, residual_tolerance=1e-10),
-                                depth=ANDERSON_DEPTH)
+                                tw.IterationConfig(max_iterations=500, residual_tolerance=1e-10,
+                                                   engine="anderson"))
         assert res.completed
-        assert depths == [ANDERSON_DEPTH] * 2
+        assert engines == ["anderson"] * 2

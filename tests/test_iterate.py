@@ -5,8 +5,9 @@ import pytest
 
 import travwave as tw
 from travwave.cli import build_factor, build_iteration_config, build_problem, build_seed, load_recipe
-from travwave.iterate import ANDERSON_DEPTH
 from travwave.spectral import Field, Grid1D, Grid2D
+
+from conftest import map_step
 
 # J L^-1 actions in one Newton step: the Krylov iterations of the
 # L^-1-preconditioned GMRES plus its true-residual check.  An unpreconditioned
@@ -33,13 +34,13 @@ def counting_jacobian(problem):
 
 class TestClassicalStep:
     def test_fixed_point_at_solution(self, soliton_problem, soliton_exact):
-        stepped = soliton_problem.pair(soliton_exact).step(1.0)[0]
+        stepped = map_step(soliton_problem, soliton_exact, 1.0)
         assert (stepped - soliton_exact).norm <= 1e-10 * soliton_exact.norm
 
     def test_exact_scaling_law(self, soliton_problem, soliton_exact):
         p = soliton_problem.degree
         for t in (0.9, 1.01):
-            out = soliton_problem.pair(t * soliton_exact).step(1.0)[0]
+            out = map_step(soliton_problem, t * soliton_exact, 1.0)
             assert (out - t**p * soliton_exact).norm <= 1e-12 * (t**p * soliton_exact).norm
 
     def test_iterated_scaling_growth(self, soliton_problem, soliton_exact):
@@ -47,7 +48,7 @@ class TestClassicalStep:
         t, p = 1.01, soliton_problem.degree
         u = t * soliton_exact
         for n in (1, 2, 3):
-            u = soliton_problem.pair(u).step(1.0)[0]
+            u = map_step(soliton_problem, u, 1.0)
             expected = t ** (p ** n)
             assert u.norm / soliton_exact.norm == pytest.approx(expected, rel=1e-10)
 
@@ -63,7 +64,7 @@ class TestStabilizedStep:
     def test_solution_maps_to_itself_with_unit_factor(self, soliton_problem, soliton_exact):
         factor = tw.petviashvili_factor("optimal", soliton_problem)
         s_val = factor(soliton_exact)
-        out = soliton_problem.pair(soliton_exact).step(s_val)[0]
+        out = map_step(soliton_problem, soliton_exact, s_val)
         assert s_val == pytest.approx(1.0, abs=1e-10)
         assert (out - soliton_exact).norm <= 1e-9 * soliton_exact.norm
 
@@ -72,14 +73,14 @@ class TestStabilizedStep:
         # with q = -p the scaled solution returns in a single step
         factor = tw.petviashvili_factor("optimal", soliton_problem)
         s_val = factor(t * soliton_exact)
-        out = soliton_problem.pair(t * soliton_exact).step(s_val)[0]
+        out = map_step(soliton_problem, t * soliton_exact, s_val)
         assert s_val == pytest.approx(t**factor.degree, rel=1e-10)
         assert (out - soliton_exact).norm <= 1e-10 * soliton_exact.norm
 
     def test_generic_q_scaling(self, soliton_problem, soliton_exact):
         factor = tw.petviashvili_factor(1.2, soliton_problem)  # q = -2.4, p + q = 0.6
         t = 1.3
-        out = soliton_problem.pair(t * soliton_exact).step(factor(t * soliton_exact))[0]
+        out = map_step(soliton_problem, t * soliton_exact, factor(t * soliton_exact))
         expected = t ** (soliton_problem.degree + factor.degree)
         assert out.norm / soliton_exact.norm == pytest.approx(expected, rel=1e-9)
 
@@ -134,7 +135,7 @@ class TestSolve:
             raise AssertionError("np.linalg.norm called")
 
         monkeypatch.setattr(np.linalg, "norm", no_norm)
-        result = tw.solve(problem, factor, seed, build_iteration_config(cfg), depth=ANDERSON_DEPTH)
+        result = tw.solve(problem, factor, seed, build_iteration_config(cfg))
         assert result.status == "converged"
 
     def test_complex_seed_on_real_problem_rejected(self, ground_state_problem, grid_1d):
@@ -283,14 +284,15 @@ class TestNewton:
 
 
 class TestAnderson:
-    """`solve(..., depth=ANDERSON_DEPTH)`: Anderson mixing of the stabilized map."""
+    """`solve` on the `anderson` engine: Anderson mixing of the stabilized map."""
 
     @staticmethod
     def recipe_runs(name):
         cfg = load_recipe(name)
         problem = build_problem(cfg)
         factor, seed, itconfig = build_factor(cfg, problem), build_seed(cfg, problem), build_iteration_config(cfg)
-        return [tw.solve(problem, factor, seed, itconfig, depth=depth) for depth in (0, ANDERSON_DEPTH)]
+        return [tw.solve(problem, factor, seed, dataclasses.replace(itconfig, engine=engine))
+                for engine in ("stabilized", "anderson")]
 
     def test_reaches_the_antisymmetric_state_where_the_plain_map_breaks_down(self, antisymmetric_state):
         plain, mixed = self.recipe_runs("table1_col34")
@@ -308,9 +310,9 @@ class TestAnderson:
     def test_complex_soliton_converges_to_the_orbit(self, soliton_problem, grid_1d):
         seed = tw.gaussian_seed(grid_1d, 1.0, 2.0)
         factor = tw.petviashvili_factor("optimal", soliton_problem)
-        cfg = tw.IterationConfig(max_iterations=100, residual_tolerance=1e-12)
-        plain, mixed = (tw.solve(soliton_problem, factor, seed.with_values(seed.values.astype(complex)), cfg,
-                                 depth=depth) for depth in (0, ANDERSON_DEPTH))
+        plain, mixed = (tw.solve(soliton_problem, factor, seed.with_values(seed.values.astype(complex)),
+                                 tw.IterationConfig(max_iterations=100, residual_tolerance=1e-12, engine=engine))
+                        for engine in ("stabilized", "anderson"))
         assert plain.status == mixed.status == "converged"
         assert mixed.trace.iteration_count < plain.trace.iteration_count
         assert tw.orbit_match(mixed.final, soliton_problem.exact_solution).sup_distance <= 1e-12
@@ -318,14 +320,18 @@ class TestAnderson:
     def test_singular_gram_matrix_drops_the_history(self):
         # on two nodes the differences soon lie on a line, and at (1, 0) they vanish
         result = tw.solve(scaled_square_problem(), None, two_nodes(1.3, 0.0),
-                          tw.IterationConfig(max_iterations=40, residual_tolerance=1e-300), depth=ANDERSON_DEPTH)
+                          tw.IterationConfig(max_iterations=40, residual_tolerance=1e-300, engine="anderson"))
         assert result.status == "converged"
         assert np.array_equal(result.final.values, [1.0, 0.0])
 
-    @pytest.mark.parametrize("depth", [-1, 2.5, True, None])
-    def test_depth_must_be_a_nonnegative_integer(self, soliton_problem, soliton_exact, depth):
-        with pytest.raises(ValueError, match="depth"):
-            tw.solve(soliton_problem, None, soliton_exact, depth=depth)
+    @pytest.mark.parametrize("engine", ["nwton", "Anderson", ""])
+    def test_unknown_engine_is_rejected(self, engine):
+        with pytest.raises(ValueError, match=f"engine must be one of .*, got {engine!r}"):
+            tw.IterationConfig(engine=engine)
+
+    def test_solve_leaves_newton_to_newton_solve(self, soliton_problem, soliton_exact):
+        with pytest.raises(ValueError, match="newton_solve"):
+            tw.solve(soliton_problem, None, soliton_exact, tw.IterationConfig(engine="newton"))
 
 
 def scaled_square_problem(scale=1.0, jac_sign=1.0):
