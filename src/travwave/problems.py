@@ -216,6 +216,8 @@ def _as_samples(potential, grid: Grid1D) -> np.ndarray:
     v = potential(grid.nodes) if callable(potential) else np.asarray(potential, dtype=float)
     if v.shape != grid.shape:
         raise ValueError(f"potential samples have shape {v.shape}, expected {grid.shape}")
+    if not np.isfinite(v).all():  # a NaN sample would make every solve NaN
+        raise ValueError("potential samples must be finite")
     return v
 
 
@@ -232,15 +234,17 @@ def nls_ground_state(potential, mu: float, grid: Grid1D, sign: int = -1) -> Prob
     if isinstance(sign, bool) or sign not in (-1, 1):
         raise ValueError(f"sign must be -1 or 1, got {sign!r}")
     # scipy is imported where it is called: the Fourier families run on numpy alone
-    from scipy.linalg import lu_factor
-    from scipy.linalg.lapack import dgecon, dgetrs
+    from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
     V = _as_samples(potential, grid)
-    m = grid.point_count
-    L_dense = diff_matrix(grid, 2) + np.diag(V) - mu * np.eye(m)
-    anorm = np.linalg.norm(L_dense, 1)
-    lu, piv = lu_factor(L_dense)
-    rcond, _ = dgecon(lu, anorm, norm="1")
-    if rcond < 1e-13:
+    L_dense = diff_matrix(grid, 2)
+    diagonal = L_dense.reshape(-1)[:: grid.point_count + 1]
+    diagonal += V  # two steps: rounded as the dense sum D^2 + diag(V) - mu*I is
+    diagonal -= mu
+    # ||L||_1 in O(m): each column holds the circulant's off-diagonal entries, plus its own diagonal entry
+    anorm = np.abs(L_dense[1:, 0]).sum() + np.abs(diagonal).max()
+    lu, piv, info = dgetrf(L_dense)
+    rcond = dgecon(lu, anorm, norm="1")[0] if info == 0 else 0.0  # info > 0: an exact zero pivot
+    if not rcond >= 1e-13:  # a NaN rcond is singular too
         raise SingularOperatorError(
             f"L = D^2 + diag(V) - mu*I is numerically singular at mu = {mu} "
             f"(reciprocal condition {rcond:.2e}; mu coincides with a discrete eigenvalue)"

@@ -157,10 +157,11 @@ def diff_matrix(grid: Grid1D, order: int) -> np.ndarray:
     """Dense pseudospectral differentiation matrix, consistent with `derivative`.
 
     D is circulant: its first column is the FFT multiplier applied to e_0,
-    ifft(multiplier), and D[i, j] = column[(i - j) mod m].
+    ifft(multiplier), and D[i, j] = column[(i - j) mod m]: row i is the length-m
+    window at offset m-1-i of the doubled, reversed column, and D one copy of them.
     """
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
     m = grid.point_count
     column = np.real(np.fft.ifft(_derivative_multiplier(grid, order)))
-    return column[np.subtract.outer(np.arange(m), np.arange(m)) % m]
+    return np.lib.stride_tricks.sliding_window_view(np.tile(column[::-1], 2)[:-1], m)[::-1].copy()

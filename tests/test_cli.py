@@ -169,6 +169,19 @@ class TestSolve:
         assert main(["solve", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "x")]) == 2
         assert "seed.kind: exact_perturbed requires a problem with an exact solution" in capsys.readouterr().err
 
+    def test_exactly_singular_operator_exits_2_without_a_warning(self, tmp_path, capsys):
+        """mu = 0 on the zero potential and a 2-point grid gives L = D^2 an
+        exact zero pivot: a config error, and no LinAlgWarning."""
+        cfg = load_recipe("table1_col12")
+        cfg["problem"].update(potential={"kind": "zero"}, mu=0.0)
+        cfg["problem"]["grid"]["points"] = 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["solve", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: problem: ") and err.count("\n") == 1
+        assert "numerically singular" in err
+
     def test_newton_engine(self, tmp_path):
         out = tmp_path / "newton"
         cfg = soliton_config(out)

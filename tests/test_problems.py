@@ -136,6 +136,19 @@ class TestGroundState:
             b = Field(grid_1d, rng.normal(size=m))
             assert np.array_equal(ground_state_problem.solve_L(b).values, lu_solve(factorization, b.values))
 
+    def test_apply_L_equals_the_dense_sum_bit_for_bit(self, grid_1d):
+        V, mu, m = tw.sech2_potential(grid_1d), 1.3, grid_1d.point_count
+        problem = tw.nls_ground_state(V, mu, grid_1d)
+        columns = np.column_stack([problem.apply_L(Field(grid_1d, e)).values for e in np.eye(m)])
+        assert np.array_equal(columns, tw.diff_matrix(grid_1d, 2) + np.diag(V) - mu * np.eye(m))
+
+    def test_non_finite_potential_sample_rejected(self, grid_1d):
+        """A NaN sample is a ValueError about the potential, not a model whose
+        solves return NaN nor a report of a singular operator."""
+        with pytest.raises(ValueError) as raised:
+            tw.nls_ground_state(lambda x: np.where(x == x[5], np.nan, 1 / np.cosh(x) ** 2), 1.3, grid_1d)
+        assert not isinstance(raised.value, SingularOperatorError)
+
     def test_callable_potential_accepted(self, grid_1d):
         problem = tw.nls_ground_state(lambda x: 1 / np.cosh(x) ** 2, 1.3, grid_1d)
         u = random_field(problem, seed=3)

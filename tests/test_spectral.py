@@ -127,6 +127,14 @@ class TestDiffMatrix:
         with pytest.raises(ValueError):
             diff_matrix(Grid1D(1.0, 8), 3)
 
+    @pytest.mark.parametrize("m", [2, 8, 64, 512])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_window_copy_equals_the_gathered_circulant_bit_for_bit(self, m, order):
+        g = Grid1D(3.0, m)
+        column = derivative(Field(g, np.eye(m)[0]), order).values  # ifft(multiplier), exactly
+        gathered = column[np.subtract.outer(np.arange(m), np.arange(m)) % m]
+        assert diff_matrix(g, order).tobytes() == gathered.tobytes()
+
 
 def test_transform_round_trip():
     g = Grid1D(4.0, 128)
