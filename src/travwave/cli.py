@@ -36,7 +36,7 @@ import numpy as np
 
 from . import diagnostics, factors, problems
 from .continuation import HomotopyPath, continue_solve
-from .iterate import COLLAPSED, IterationConfig, SolveResult, newton_solve, solve
+from .iterate import COLLAPSED, IterationConfig, SolveResult, solve
 from .spectral import Field, Grid1D, Grid2D, derivative
 
 FLOAT_FMT = "%.17g"
@@ -370,12 +370,6 @@ def summary_payload(seed: dict | None, factor, result: SolveResult, itconfig: It
 # commands
 
 
-def _run_engine(factor, seed: Field, itconfig: IterationConfig) -> SolveResult:
-    if itconfig.engine == "newton":
-        return newton_solve(factor.problem, seed, itconfig)
-    return solve(factor.problem, factor, seed, itconfig)
-
-
 # Runs holding at least this many node values in total, over two or more
 # runs, are streamed to one forked writer process (`_WriterProcess`) as they
 # are solved, so the writing overlaps the solves.  The `%.17g` formatting
@@ -566,7 +560,7 @@ def cmd_solve(cfg: dict, outdir: Path) -> int:
     problem = build_problem(cfg)
     factor = build_factor(cfg, problem)
     itconfig = build_iteration_config(cfg)
-    result = _run_engine(factor, build_seed(cfg, problem), itconfig)
+    result = solve(problem, factor, build_seed(cfg, problem), itconfig)
     with _write_runs(outdir, itconfig) as write:
         write(("", cfg.get("seed"), factor, result, {}))
     return 0
@@ -597,7 +591,7 @@ def cmd_spectrum(cfg: dict, outdir: Path) -> int:
     else:
         if seed is None:
             raise ConfigError("missing field seed")
-        result = _run_engine(factor, seed, itconfig)
+        result = solve(problem, factor, seed, itconfig)
         with _write_runs(outdir, itconfig) as write:
             write(("", cfg.get("seed"), factor, result, {}))
         if result.status == COLLAPSED:
@@ -622,8 +616,6 @@ def cmd_spectrum(cfg: dict, outdir: Path) -> int:
 def cmd_continue(cfg: dict, outdir: Path) -> int:
     path = _dataclass(HomotopyPath, cfg.get("continuation"), "continuation")
     itconfig = build_iteration_config(cfg)
-    if itconfig.engine == "newton":
-        raise ConfigError("iteration.engine: continue runs the stabilized or anderson engine, got 'newton'")
     base_problem = build_problem(cfg)
     if base_problem.name != "benjamin_lump":
         raise ConfigError("problem.family: only benjamin_lump supports Gamma continuation")
@@ -674,7 +666,7 @@ def cmd_orbital(cfg: dict, outdir: Path) -> int:
         runs[name] = i, run
 
     solved = [(name, {"kind": "exact_perturbed", **run}, factor,
-               _run_engine(factor, _perturbed_exact(problem, **run), itconfig), run)
+               solve(problem, factor, _perturbed_exact(problem, **run), itconfig), run)
               for name, (_, run) in runs.items()]
     with _write_runs(outdir, itconfig, len(solved), solved[0][3].final) as write:
         index = [write(run) for run in solved]

@@ -1,11 +1,11 @@
 """Fixed-point engines, named by `IterationConfig.engine`: `stabilized`, the map
-L u_{n+1} = s(u_n) N(u_n) (the classical L u_{n+1} = N(u_n) without a factor);
-`anderson`, that map with Anderson mixing; and `newton`, damped Newton
-(matrix-free GMRES, right-preconditioned by L^{-1}) for states the stabilized
-family cannot reach.
+L u_{n+1} = s(u_n) N(u_n) (the classical L u_{n+1} = N(u_n) without a factor),
+and `anderson`, that map with guarded Anderson mixing.  `newton_solve`, damped
+Newton (matrix-free GMRES, right-preconditioned by L^{-1}), is no engine: it is
+the library's independent reference solver, which no command runs.
 
-The engines run one loop and differ only in its step.  Each iteration
-records, from one (L u, N(u)) pair at u_n, the residual monitor
+`solve` and `newton_solve` run one loop and differ only in its step.  Each
+iteration records, from one (L u, N(u)) pair at u_n, the residual monitor
 RE_n = ||L u_n - N(u_n)|| (Euclidean over node values, realified on complex
 fields), the factor discrepancy |s(u_n) - 1| (NaN for Newton and the
 classical map) and ||u_n||.  Divergence, overflow included, is a reported
@@ -35,8 +35,18 @@ COLLAPSE_RATIO = 1e-8
 # Anderson mixing depth of the `anderson` engine: on fig2's continuation AA(3),
 # AA(5) and AA(8) take 175, 153 and 141 iterations, so a deeper history buys little
 ANDERSON_DEPTH = 5
-# the mixing depth `solve` runs each stabilized-map engine with
+# the mixing depth `solve` runs each engine with
 MIXING_DEPTH = {"stabilized": 0, "anderson": ANDERSON_DEPTH}
+# The guard of a mixing step, after the safeguard of Zhang, O'Donoghue & Boyd
+# (SIAM J. Optim. 30, 2020), which falls back to the damped base map: a mixed
+# iterate that is non-finite, breaks the factor down or has a residual above
+# FALLBACK_GROWTH times the current one gives way to the damped plain step
+# u + FALLBACK_DAMPING (G(u) - u).
+# Undamped AA(5) reaches table1_col34's state from 18 of a 40-seed box around
+# its recipe seed, the guarded step from all 40 (31 fallbacks in all), and fig2
+# never falls back.  A damping of 0.5 reaches the state from 37, and 0.7 from 33.
+FALLBACK_GROWTH = 4.0
+FALLBACK_DAMPING = 0.3
 
 
 @dataclass(frozen=True)
@@ -55,8 +65,8 @@ class IterationConfig:
             raise ValueError(f"residual_tolerance must be positive and finite, got {self.residual_tolerance!r}")
         if not 1 < self.divergence_guard < np.inf:
             raise ValueError(f"divergence_guard must be finite and exceed 1, got {self.divergence_guard!r}")
-        if self.engine not in (*MIXING_DEPTH, "newton"):
-            raise ValueError(f"engine must be one of {[*MIXING_DEPTH, 'newton']}, got {self.engine!r}")
+        if self.engine not in MIXING_DEPTH:
+            raise ValueError(f"engine must be one of {list(MIXING_DEPTH)}, got {self.engine!r}")
 
 
 @dataclass
@@ -105,12 +115,11 @@ def solve(problem: ProblemModel, factor: StabilizingFactor | None, u0: Field,
     iterate from it.  With factor=None this runs the classical map (for
     divergence demonstrations); the factor-discrepancy channel records NaN.
     The next iterate is the Anderson mixing (`_Anderson`) of the map's images
-    over the last MIXING_DEPTH[config.engine] steps, none for `stabilized`;
-    the records are those of each iterate's own pair.  `newton` is `newton_solve`'s.
+    over the last MIXING_DEPTH[config.engine] steps, none for `stabilized`,
+    with the guard that falls back to the damped plain step; the records are
+    those of each iterate's own pair.
     """
     cfg = config or IterationConfig()
-    if cfg.engine not in MIXING_DEPTH:
-        raise ValueError(f"solve runs the engines {list(MIXING_DEPTH)}; newton_solve runs {cfg.engine!r}")
     return _iterate(problem, _seed(problem, u0), cfg, factor, _Anderson(MIXING_DEPTH[cfg.engine]))
 
 
@@ -123,16 +132,18 @@ class _Anderson:
     gamma solves the normal equations (dF dF^T) gamma = dF f_n.  Vectors are
     the pair's coefficients viewed as reals.  The differences live in ring
     buffers and the Gram matrix dF dF^T gains one row per step; a singular
-    or non-finite solve drops the history and takes the plain step.  Depth 0
-    keeps no history: its step is the plain map's image G(u_n).  The
-    reductions are einsum's own loops, not BLAS calls, so the iterates do not
-    depend on the BLAS thread count.
+    or non-finite solve drops the history and takes the plain step.  When the
+    loop rejects the mixed iterate, `fallback` gives the damped plain step
+    from the f and g of the same u_n and drops the history.  Depth 0 keeps no
+    history: its step is the plain map's image G(u_n).  The reductions are
+    einsum's own loops, not BLAS calls, so the iterates do not depend on the
+    BLAS thread count.
     """
 
     def __init__(self, depth: int):
         self.depth = depth
         self.count = 0  # differences taken since the history was last dropped
-        self.dF = self.dG = self.gram = self.f = self.g = None
+        self.dF = self.dG = self.gram = self.f = self.g = self.layout = None
 
     def __call__(self, pair: OperatorPair, s: float) -> OperatorPair:
         image = pair.image(s)
@@ -149,7 +160,7 @@ class _Anderson:
             np.subtract(f, self.f, out=self.dF[slot])
             np.subtract(g, self.g, out=self.dG[slot])
             self.gram[slot, :k] = self.gram[:k, slot] = np.einsum("ij,j->i", self.dF[:k], self.dF[slot])
-        self.f, self.g = f, g
+        self.f, self.g, self.layout = f, g, (image.dtype, image.shape)
         mixed = g
         if self.count:
             k = min(self.count, self.depth)
@@ -161,7 +172,17 @@ class _Anderson:
                 mixed = g - np.einsum("i,ij->j", gamma, self.dG[:k])
             else:
                 self.count = 0
-        coeffs = mixed.view(image.dtype).reshape(image.shape)
+        return self._pair(pair, mixed)
+
+    def fallback(self, pair: OperatorPair) -> OperatorPair:
+        """The pair at u_n + FALLBACK_DAMPING (G(u_n) - u_n), for the pair at
+        u_n that the last step started from; the history is dropped."""
+        self.count = 0
+        return self._pair(pair, self.g - (1.0 - FALLBACK_DAMPING) * self.f)
+
+    def _pair(self, pair: OperatorPair, flat: np.ndarray) -> OperatorPair:
+        dtype, shape = self.layout
+        coeffs = flat.view(dtype).reshape(shape)
         return pair.problem.pair(pair.field(coeffs), coeffs)
 
 
@@ -207,18 +228,34 @@ def _seed(problem: ProblemModel, u0: Field) -> Field:
 def _iterate(problem: ProblemModel, u: Field, cfg: IterationConfig,
              factor: StabilizingFactor | None,
              step: Callable[[OperatorPair, float], OperatorPair | str]) -> SolveResult:
-    """The loop both engines run from the seed u.
+    """The loop every engine runs from the seed u.
 
     Each record takes RE_n, |s(u_n) - 1| and ||u_n|| from the pair at u_n;
     then the divergence guard, the stop rule and the iteration cap are
     checked, in that order.  Otherwise `step(pair, s)`, with s = s(u_n) (1 for
     the classical map), returns the pair at u_{n+1}, or the status that ends
-    the run when no step can be taken.
+    the run when no step can be taken.  A mixing step's iterate that is
+    non-finite, breaks the factor down or has a residual above
+    FALLBACK_GROWTH RE_n is not recorded: the step's `fallback` replaces it
+    and is recorded whatever it holds.  The factor is evaluated once per pair.
     """
     # exact and BLAS-free: a nonzero seed whose norm underflows is still nonzero
     if not np.any(u.values) or not np.all(np.isfinite(u.values)):
         raise ValueError("seed must be nonzero and finite")
+
+    def factor_at(pair: OperatorPair) -> float | None:
+        """s at the pair's iterate (NaN for the classical map); None where the
+        iterate is non-finite or has left the factor's domain."""
+        if not np.all(np.isfinite(pair.u.values)):
+            return None
+        try:
+            return factor(pair.u, pair) if factor is not None else np.nan
+        except ArithmeticError:
+            return None
+
+    guarded = isinstance(step, _Anderson) and step.depth > 0
     pair = problem.pair(u)
+    s = factor_at(pair)
     records: list[tuple[float, float, float]] = []
     status = MAX_ITERATIONS
     for n in range(cfg.max_iterations + 1):
@@ -226,10 +263,6 @@ def _iterate(problem: ProblemModel, u: Field, cfg: IterationConfig,
             records.append((np.inf, np.nan, np.inf))
             status = DIVERGED
             break
-        try:
-            s = factor(pair.u, pair) if factor is not None else np.nan
-        except ArithmeticError:
-            s = None  # factor breakdown: the iterate left the factor's domain
         re_n, norm_n = pair.residual, pair.norm(pair.uc)
         disc = np.nan if s is None else abs(s - 1.0)
         records.append((re_n, disc, norm_n))
@@ -247,6 +280,10 @@ def _iterate(problem: ProblemModel, u: Field, cfg: IterationConfig,
         if isinstance(nxt, str):
             status = nxt
             break
+        s = factor_at(nxt)
+        if guarded and (s is None or not nxt.residual <= FALLBACK_GROWTH * re_n):  # True on NaN
+            nxt = step.fallback(pair)
+            s = factor_at(nxt)
         pair = nxt
 
     residuals, discrepancies, norms = (np.asarray(column) for column in zip(*records))

@@ -238,8 +238,11 @@ def nls_ground_state(potential, mu: float, grid: Grid1D, sign: int = -1) -> Prob
     V = _as_samples(potential, grid)
     L_dense = diff_matrix(grid, 2)
     diagonal = L_dense.reshape(-1)[:: grid.point_count + 1]
-    diagonal += V  # two steps: rounded as the dense sum D^2 + diag(V) - mu*I is
-    diagonal -= mu
+    with np.errstate(over="ignore"):  # reported below, by name
+        diagonal += V  # two steps: rounded as the dense sum D^2 + diag(V) - mu*I is
+        diagonal -= mu
+    if not np.isfinite(diagonal).all():
+        raise ValueError(f"L = D^2 + diag(V) - mu*I overflows the float range at mu = {mu}")
     # ||L||_1 in O(m): each column holds the circulant's off-diagonal entries, plus its own diagonal entry
     anorm = np.abs(L_dense[1:, 0]).sum() + np.abs(diagonal).max()
     lu, piv, info = dgetrf(L_dense)

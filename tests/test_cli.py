@@ -182,16 +182,24 @@ class TestSolve:
         assert err.startswith("config error: problem: ") and err.count("\n") == 1
         assert "numerically singular" in err
 
-    def test_newton_engine(self, tmp_path):
+    def test_newton_engine_exits_2(self, tmp_path, capsys):
         out = tmp_path / "newton"
         cfg = soliton_config(out)
-        cfg["iteration"] = {"max_iterations": 25, "residual_tolerance": 1e-11,
-                            "engine": "newton"}
-        cfg_path = write_config(tmp_path, cfg)
-        assert main(["solve", "--config", cfg_path]) == 0
-        summary = json.loads((out / "summary.json").read_text())
-        assert summary["status"] == "converged"
-        assert summary["iteration_config"]["engine"] == "newton"
+        cfg["iteration"]["engine"] = "newton"
+        assert main(["solve", "--config", write_config(tmp_path, cfg)]) == 2
+        assert "iteration.engine" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
+    def test_overflowing_operator_exits_2_without_a_warning(self, tmp_path, capsys):
+        """V - mu beyond the float range is a config error that says so, not a
+        RuntimeWarning or a singular operator."""
+        cfg = load_recipe("table1_col12")
+        cfg["problem"].update(potential={"kind": "sech2", "amplitude": 1e308}, mu=-1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["solve", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: problem: ") and "overflows" in err
 
     def test_anderson_engine(self, tmp_path):
         out = tmp_path / "anderson"
@@ -1127,11 +1135,17 @@ class TestOverflow:
 
 
 class TestCollapse:
-    def test_newton_collapse_to_zero_is_reported(self, tmp_path, capsys):
-        # a narrower antisymmetric seed sends the Newton solve to u = 0
-        cfg = load_recipe("table1_col34")
-        cfg["seed"]["width"] *= 0.9
-        cfg_path = write_config(tmp_path, cfg)
+    @staticmethod
+    def collapsing_solve(problem, factor, u0, config):
+        """A solve that ends on the trivial state u = 0 in one step."""
+        first, last = problem.pair(u0), problem.pair(0.0 * u0)
+        trace = tw.IterationTrace(np.array([first.residual, last.residual]), np.full(2, np.nan),
+                                  np.array([first.norm(first.uc), 0.0]), "collapsed")
+        return tw.SolveResult(last.u, trace)
+
+    def test_collapse_to_zero_is_reported(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(travwave.cli, "solve", self.collapsing_solve)
+        cfg_path = write_config(tmp_path, load_recipe("table1_col34"))
         assert main(["solve", "--config", cfg_path, "--out", str(tmp_path / "solve")]) == 0
         summary = json.loads((tmp_path / "solve" / "summary.json").read_text())
         assert summary["status"] == "collapsed"

@@ -218,6 +218,27 @@ class TestAndersonPath:
         # 563 iterations on the plain map, 153 mixed
         assert sum(s.result.trace.iteration_count for s in mixed.stages) <= 200
 
+    def test_fig2_seed_box_keeps_every_stage_and_iteration_count(self):
+        """fig2 from its seed with amplitude and width scaled by 0.9, 1.0 and
+        1.1 takes the 12 requested stages and no inserted one, in the
+        iteration totals of the unguarded AA(5) step: the guard never fires."""
+        cfg = load_recipe("fig2")
+        grid = build_grid(cfg["problem"])
+        family = lambda g: tw.benjamin_lump(g, cfg["problem"]["sound_speed"], grid)
+        path = tw.HomotopyPath(values=cfg["continuation"]["values"])
+        totals = {}
+        for amplitude in (0.9, 1.0, 1.1):
+            for width in (0.9, 1.0, 1.1):
+                seed = {**cfg["seed"], "amplitude": amplitude * cfg["seed"]["amplitude"],
+                        "width": width * cfg["seed"]["width"]}
+                res = tw.continue_solve(factors_of(family, cfg["factor"]["descriptor"]), path,
+                                        build_seed({**cfg, "seed": seed}, family(0.0)), build_iteration_config(cfg))
+                assert res.completed and [s.parameter_value for s in res.stages] == list(path.values)
+                totals[amplitude, width] = sum(s.result.trace.iteration_count for s in res.stages)
+        assert totals == {(0.9, 0.9): 152, (0.9, 1.0): 153, (0.9, 1.1): 154,
+                          (1.0, 0.9): 152, (1.0, 1.0): 153, (1.0, 1.1): 154,
+                          (1.1, 0.9): 153, (1.1, 1.0): 153, (1.1, 1.1): 153}
+
     def test_every_stage_solve_is_mixed(self, monkeypatch):
         engines = []
 

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import travwave as tw
+from travwave import iterate
 from travwave.cli import build_factor, build_iteration_config, build_problem, build_seed, load_recipe
+from travwave.factors import FactorDomainError
 from travwave.spectral import Field, Grid1D, Grid2D
 
 from conftest import map_step
@@ -324,14 +326,90 @@ class TestAnderson:
         assert result.status == "converged"
         assert np.array_equal(result.final.values, [1.0, 0.0])
 
-    @pytest.mark.parametrize("engine", ["nwton", "Anderson", ""])
+    @pytest.mark.parametrize("engine", ["newton", "nwton", "Anderson", ""])
     def test_unknown_engine_is_rejected(self, engine):
         with pytest.raises(ValueError, match=f"engine must be one of .*, got {engine!r}"):
             tw.IterationConfig(engine=engine)
 
-    def test_solve_leaves_newton_to_newton_solve(self, soliton_problem, soliton_exact):
-        with pytest.raises(ValueError, match="newton_solve"):
-            tw.solve(soliton_problem, None, soliton_exact, tw.IterationConfig(engine="newton"))
+    def test_table1_col34_box_reaches_the_newton_state(self, antisymmetric_state):
+        """Every seed of a 40-seed box around the recipe's reaches the state
+        Newton finds; undamped AA(5) breaks the factor down from 22 of them."""
+        cfg = load_recipe("table1_col34")
+        problem = build_problem(cfg)
+        factor, itconfig = build_factor(cfg, problem), build_iteration_config(cfg)
+        assert itconfig.engine == "anderson"
+        missed = []
+        for amplitude in np.linspace(0.8, 1.2, 5):
+            for width in np.linspace(0.85, 1.5, 8):
+                seed = {**cfg["seed"], "amplitude": amplitude * cfg["seed"]["amplitude"],
+                        "width": width * cfg["seed"]["width"]}
+                result = tw.solve(problem, factor, build_seed({**cfg, "seed": seed}, problem), itconfig)
+                distance = np.linalg.norm(result.final.values - antisymmetric_state.values)
+                if not (result.status == "converged"
+                        and distance <= 1e-12 * np.linalg.norm(antisymmetric_state.values)):
+                    missed.append((amplitude, width, result.status, distance))
+        assert missed == []
+
+
+class TestFallback:
+    """The guard of a mixing step: a rejected mixed iterate gives way to the
+    damped plain step u + 0.3 (G(u) - u), and the history is dropped.  On
+    L = I, N(u) = u^2 with the second node at 0, G(x) = x^2."""
+
+    @staticmethod
+    def spied(monkeypatch):
+        """The history length before and after each fallback."""
+        counts = []
+        original = iterate._Anderson.fallback
+
+        def fallback(self, pair):
+            before = self.count
+            out = original(self, pair)
+            counts.append((before, self.count))
+            return out
+
+        monkeypatch.setattr(iterate._Anderson, "fallback", fallback)
+        return counts
+
+    def test_residual_jump_takes_the_damped_step(self, monkeypatch):
+        # RE goes from 1.6 * 0.6 = 0.96 at 1.6 to 2.56 * 1.56 = 3.99 at G(1.6) = 2.56
+        counts = self.spied(monkeypatch)
+        config = tw.IterationConfig(max_iterations=1, engine="anderson")
+        mixed = tw.solve(scaled_square_problem(), None, two_nodes(1.6, 0.0), config)
+        plain = tw.solve(scaled_square_problem(), None, two_nodes(1.6, 0.0),
+                         dataclasses.replace(config, engine="stabilized"))
+        assert plain.final.values[0] == pytest.approx(2.56, rel=1e-15)
+        assert mixed.final.values[0] == pytest.approx(1.6 + 0.3 * (2.56 - 1.6), rel=1e-15)
+        assert counts == [(0, 0)]
+
+    def test_factor_breakdown_takes_the_damped_step_and_drops_the_history(self, monkeypatch):
+        # 1.3 -> 1.69 is plain (no history yet); the secant step from 1.69 lands
+        # on 1.104, where the factor breaks down, so 1.69 + 0.3 (1.69^2 - 1.69) follows
+        def factor(u, pair):
+            if 1.0 < u.values[0] < 1.2:
+                raise FactorDomainError("outside the factor's domain")
+            return 1.0
+
+        counts = self.spied(monkeypatch)
+        result = tw.solve(scaled_square_problem(), factor, two_nodes(1.3, 0.0),
+                          tw.IterationConfig(max_iterations=2, engine="anderson"))
+        assert result.trace.norms[:2] == pytest.approx([1.3, 1.69], rel=1e-15)
+        assert result.trace.norms[2] == pytest.approx(1.69 + 0.3 * (1.69**2 - 1.69), rel=1e-15)
+        assert result.trace.factor_discrepancies.tolist() == [0.0] * 3
+        assert counts == [(1, 0)]
+
+    def test_a_bad_fallback_ends_the_run_as_diverged(self):
+        # the factor breaks down everywhere past the seed, the fallback included
+        def factor(u, pair):
+            if u.values[0] != 1.6:
+                raise FactorDomainError("outside the factor's domain")
+            return 1.0
+
+        result = tw.solve(scaled_square_problem(), factor, two_nodes(1.6, 0.0),
+                          tw.IterationConfig(max_iterations=5, engine="anderson"))
+        assert result.status == "diverged"
+        assert result.trace.iteration_count == 1
+        assert result.trace.norms[1] == pytest.approx(1.888, rel=1e-15)
 
 
 def scaled_square_problem(scale=1.0, jac_sign=1.0):
