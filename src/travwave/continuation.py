@@ -53,10 +53,6 @@ class ContinuationResult:
     completed: bool = True
     failed_at: float | None = None
 
-    @property
-    def requested_stages(self) -> list[StageResult]:
-        return [s for s in self.stages if s.requested]
-
 
 def _extrapolate(stages: list[StageResult], value: float) -> Field:
     """The Lagrange polynomial through the stages' final states, at `value`."""

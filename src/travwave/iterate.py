@@ -89,11 +89,6 @@ class IterationTrace:
     def final_factor_discrepancy(self) -> float:
         return float(self.factor_discrepancies[-1])
 
-    def iterations_to(self, tolerance: float) -> float:
-        """First iteration index with RE_n <= tolerance, inf if never reached."""
-        hit = np.nonzero(self.residuals <= tolerance)[0]
-        return float(hit[0]) if hit.size else np.inf
-
 
 @dataclass
 class SolveResult:

@@ -3,8 +3,12 @@ Schrodinger soliton profiles with an exact-solution oracle, and 2D
 Benjamin/KP-type lumps.
 
 Every model is an instance of the homogeneous system L u = N(u) with N
-positively homogeneous of degree p.  Models are immutable after construction;
-dense factorizations happen once.
+positively homogeneous of degree p.  Each carries one operator with the
+interface forward, inverse, inner, apply, solve, g and g_jac: a FourierSymbol
+for the Fourier families, a NodeOperator for the dense ground state and
+hand-built models.  The stabilized loop and the four callables of the model
+(`operator_model`) run through that interface alone.  Models are immutable
+after construction; dense factorizations happen once.
 """
 
 from __future__ import annotations
@@ -66,12 +70,36 @@ class FourierSymbol:
             total = 2.0 * total - np.vdot(a[..., 0], b[..., 0]).real - np.vdot(a[..., -1], b[..., -1]).real
         return float(total) / math.prod(self.shape)
 
-    def multiply(self, multiplier, values: np.ndarray) -> np.ndarray:
-        """Apply a Fourier multiplier to node values."""
-        return self.inverse(multiplier * self.forward(values))
+    def apply(self, coeffs: np.ndarray) -> np.ndarray:
+        """The coefficients of L u, for u's coefficients."""
+        return self.symbol * coeffs
 
-    def multiply_N(self, values: np.ndarray) -> np.ndarray:
-        return values if self.multiplier is None else self.multiply(self.multiplier, values)
+    def solve(self, coeffs: np.ndarray) -> np.ndarray:
+        """The coefficients of L^{-1} b, for b's coefficients."""
+        return coeffs * self.inverse_symbol
+
+
+@dataclass(frozen=True, eq=False)
+class NodeOperator:
+    """L and N in node space, under FourierSymbol's method names: the
+    coefficients are the node values, so `forward` and `inverse` are the
+    identity and `inner` is the real `vdot`; `apply(v)` = L v, `solve(b)` =
+    L^{-1} b, and N = g at the nodes (g may couple nodes).
+    """
+
+    apply: Callable[[np.ndarray], np.ndarray]
+    solve: Callable[[np.ndarray], np.ndarray]
+    g: Callable[[np.ndarray], np.ndarray]
+    g_jac: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    multiplier = pinned = None  # N is g itself, and no mode is held at zero
+
+    def forward(self, values: np.ndarray) -> np.ndarray:
+        return values
+
+    inverse = forward
+
+    def inner(self, a: np.ndarray, b: np.ndarray) -> float:
+        return float(np.real(np.vdot(a, b)))
 
 
 @dataclass(frozen=True)
@@ -86,9 +114,9 @@ class ProblemModel:
     solution, returns the element e^{i theta0} u*(x + x0) of its symmetry
     orbit; `exact_perturbed` seeds, `state: exact` spectra and
     `diagnostics.orbit_match` take the solution from it alone.
-    `fourier` describes the Fourier families in transform form; the
-    stabilized loop then runs on their coefficients instead of calling the
-    four operators.
+    `operator`, a FourierSymbol or a NodeOperator, is the one description of
+    L and N: the stabilized loop runs on its coefficients, and
+    `operator_model` derives the four callables from it.
     """
 
     name: str
@@ -99,26 +127,24 @@ class ProblemModel:
     solve_L: Callable[[Field], Field]
     apply_N: Callable[[Field], Field]
     jacN_action: Callable[[Field, Field], Field]
+    operator: FourierSymbol | NodeOperator
     exact_solution: Callable[..., Field] | None = None
     symmetries: tuple[str, ...] = ()
     params: dict = dataclass_field(default_factory=dict)
-    fourier: FourierSymbol | None = None
 
     def project_pinned(self, u: Field) -> Field:
         """Zero the pinned Fourier modes (no-op when none are declared)."""
-        fs = self.fourier
-        if fs is None or fs.pinned is None:
+        op = self.operator
+        if op.pinned is None:
             return u
-        return u.with_values(fs.multiply(~fs.pinned, u.values))
+        return u.with_values(op.inverse(~op.pinned * op.forward(u.values)))
 
     def pair(self, u: Field, uc: np.ndarray | None = None) -> OperatorPair:
         """Evaluate (L u, N(u)) once; `uc` passes u's coefficients when known."""
-        fs = self.fourier
-        if fs is None:
-            return OperatorPair(self, u, u.values, self.apply_L(u).values, self.apply_N(u).values)
-        uc = fs.forward(u.values) if uc is None else uc
-        Nc = fs.forward(fs.g(u.values))
-        return OperatorPair(self, u, uc, fs.symbol * uc, Nc if fs.multiplier is None else fs.multiplier * Nc)
+        op = self.operator
+        uc = op.forward(u.values) if uc is None else uc
+        Nc = op.forward(op.g(u.values))
+        return OperatorPair(self, u, uc, op.apply(uc), Nc if op.multiplier is None else op.multiplier * Nc)
 
     def linearization_space(self) -> linops.VectorSpace:
         """Real vector space the linearization acts on: the node values of a
@@ -128,10 +154,9 @@ class ProblemModel:
 
 @dataclass(frozen=True, eq=False)
 class OperatorPair:
-    """One evaluation of (L u, N(u)) at the iterate u, as coefficient arrays:
-    the FourierSymbol's coefficients on problems that carry one, the node
-    values otherwise.  The residual, ||u||, the factors' inner products and
-    the next stabilized iterate all come from it.
+    """One evaluation of (L u, N(u)) at the iterate u, as the coefficient
+    arrays of the problem's operator.  The residual, ||u||, the factors'
+    inner products and the next stabilized iterate all come from it.
     """
 
     problem: ProblemModel
@@ -142,21 +167,17 @@ class OperatorPair:
 
     def inner(self, a: np.ndarray, b: np.ndarray) -> float:
         """Re <A, B> of the fields A, B with coefficients a, b."""
-        fs = self.problem.fourier
-        return float(np.real(np.vdot(a, b))) if fs is None else fs.inner(a, b)
+        return self.problem.operator.inner(a, b)
 
     def norm(self, a: np.ndarray) -> float:
-        fs = self.problem.fourier
-        return float(np.linalg.norm(a.ravel())) if fs is None else math.sqrt(fs.inner(a, a))
+        return math.sqrt(self.inner(a, a))
 
     def coefficients(self, values: np.ndarray) -> np.ndarray:
-        fs = self.problem.fourier
-        return values if fs is None else fs.forward(values)
+        return self.problem.operator.forward(values)
 
     def field(self, coeffs: np.ndarray) -> Field:
         """The field with the given coefficients."""
-        fs = self.problem.fourier
-        return self.u.with_values(coeffs if fs is None else fs.inverse(coeffs))
+        return self.u.with_values(self.problem.operator.inverse(coeffs))
 
     @cached_property
     def residual(self) -> float:
@@ -165,10 +186,7 @@ class OperatorPair:
 
     def image(self, s: float) -> np.ndarray:
         """The coefficients of the solution u' of L u' = s N(u)."""
-        fs = self.problem.fourier
-        if fs is None:
-            return self.problem.solve_L(self.u.with_values(self.Nc * s)).values
-        return (self.Nc * s) * fs.inverse_symbol
+        return self.problem.operator.solve(self.Nc * s)
 
 
 @dataclass(frozen=True)
@@ -253,26 +271,11 @@ def nls_ground_state(potential, mu: float, grid: Grid1D, sign: int = -1) -> Prob
             f"(reciprocal condition {rcond:.2e}; mu coincides with a discrete eigenvalue)"
         )
 
-    def apply_N(u: Field) -> Field:
-        v = u.values
-        return u.with_values(sign * v * v * v)
-
-    def jacN(u: Field, w: Field) -> Field:
-        v = u.values
-        return w.with_values(3.0 * sign * v * v * w.values)
-
-    return ProblemModel(
-        name="nls_ground_state",
-        degree=3.0,
-        grid=grid,
-        is_complex=False,
-        apply_L=lambda u: u.with_values(L_dense @ u.values),
-        # LAPACK getrs on the stored factors: lu_solve's bytes without its input checks
-        solve_L=lambda b: b.with_values(dgetrs(lu, piv, b.values)[0]),
-        apply_N=apply_N,
-        jacN_action=jacN,
-        params={"mu": mu, "sign": sign},
-    )
+    # solve: LAPACK getrs on the stored factors, lu_solve's bytes without its input checks
+    node = NodeOperator(apply=lambda v: L_dense @ v, solve=lambda b: dgetrs(lu, piv, b)[0],
+                        g=lambda v: sign * v * v * v, g_jac=lambda v, w: 3.0 * sign * v * v * w)
+    return operator_model(node, name="nls_ground_state", degree=3.0, grid=grid, is_complex=False,
+                          params={"mu": mu, "sign": sign})
 
 
 def exact_soliton_profile(params: SolitonParameters, grid: Grid1D, x0: float = 0.0,
@@ -309,7 +312,7 @@ def nls_soliton(params: SolitonParameters, grid: Grid1D) -> ProblemModel:
         return -(sig + 1.0) * au ** (2 * sig) * wv - sig * au ** (2 * sig - 2) * uv * uv * np.conj(wv)
 
     fourier = FourierSymbol(grid.shape, False, -(k**2) - params.lambda1 + params.lambda2 * k, None, g, g_jac)
-    return _fourier_model(
+    return operator_model(
         fourier,
         name="nls_soliton",
         degree=2.0 * sig + 1.0,
@@ -340,7 +343,7 @@ def benjamin_lump(gamma_cap: float, sound_speed: float, grid: Grid2D) -> Problem
     symbol = kx**2 * (sound_speed + 2.0 * gamma_cap * np.abs(kx) + kx**2) + kz**2
     fourier = FourierSymbol(grid.shape, True, symbol, kx**2, lambda v: v * v,
                             lambda u, w: 2.0 * u * w, pinned=symbol == 0.0)
-    return _fourier_model(
+    return operator_model(
         fourier,
         name="benjamin_lump",
         degree=2.0,
@@ -351,14 +354,18 @@ def benjamin_lump(gamma_cap: float, sound_speed: float, grid: Grid2D) -> Problem
     )
 
 
-def _fourier_model(fs: FourierSymbol, **fields) -> ProblemModel:
-    """A model whose four operators are derived from its FourierSymbol."""
+def operator_model(op: FourierSymbol | NodeOperator, **fields) -> ProblemModel:
+    """The model whose four callables are derived from its operator `op`."""
+
+    def N(values: np.ndarray) -> np.ndarray:  # N = g with the multiplier applied
+        return values if op.multiplier is None else op.inverse(op.multiplier * op.forward(values))
+
     return ProblemModel(
-        apply_L=lambda u: u.with_values(fs.multiply(fs.symbol, u.values)),
-        solve_L=lambda b: b.with_values(fs.multiply(fs.inverse_symbol, b.values)),
-        apply_N=lambda u: u.with_values(fs.multiply_N(fs.g(u.values))),
-        jacN_action=lambda u, w: w.with_values(fs.multiply_N(fs.g_jac(u.values, w.values))),
-        fourier=fs, **fields)
+        apply_L=lambda u: u.with_values(op.inverse(op.apply(op.forward(u.values)))),
+        solve_L=lambda b: b.with_values(op.inverse(op.solve(op.forward(b.values)))),
+        apply_N=lambda u: u.with_values(N(op.g(u.values))),
+        jacN_action=lambda u, w: w.with_values(N(op.g_jac(u.values, w.values))),
+        operator=op, **fields)
 
 
 def gaussian_seed(grid: Grid, amplitude: float, width: float, antisymmetric: bool = False) -> Field:

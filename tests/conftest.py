@@ -5,6 +5,7 @@ import pytest
 
 import travwave as tw
 from travwave.diagnostics import f_operator
+from travwave.problems import NodeOperator, operator_model
 from travwave.spectral import Field, Grid1D, Grid2D
 
 
@@ -130,27 +131,19 @@ def make_synthetic_diagonal(scale=(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0),
     cvec = np.asarray(couplings, dtype=float)
     grid = Grid1D(1.0, lvec.size)
 
-    def apply_L(u):
-        return u.with_values(lvec * u.values)
-
-    def solve_L(b):
-        return b.with_values(b.values / lvec)
-
-    def apply_N(u):
-        v = u.values
+    def g(v):
         out = cvec * v[0] * v
         out[0] = v[0] ** 2
-        return u.with_values(out)
+        return out
 
-    def jacN(u, w):
-        v, x = u.values, w.values
+    def g_jac(v, x):
         out = cvec * (v * x[0] + v[0] * x)
         out[0] = 2.0 * v[0] * x[0]
-        return w.with_values(out)
+        return out
 
-    problem = tw.ProblemModel(
+    problem = operator_model(
+        NodeOperator(apply=lambda v: lvec * v, solve=lambda b: b / lvec, g=g, g_jac=g_jac),
         name="synthetic_diagonal", degree=2.0, grid=grid, is_complex=False,
-        apply_L=apply_L, solve_L=solve_L, apply_N=apply_N, jacN_action=jacN,
     )
     u_star = Field(grid, np.eye(lvec.size)[0] * lvec[0])
     s_eigs = np.concatenate([[2.0], cvec[1:] * lvec[0] / lvec[1:]])

@@ -13,20 +13,16 @@ from travwave.factors import (
     optimal_gamma,
     petviashvili_factor,
 )
-from travwave.problems import ProblemModel
+from travwave.problems import NodeOperator, operator_model
 from travwave.spectral import Field, Grid1D
 
 
 def identity_square_problem():
     """L = I, N(u) = u*u on a 2-node grid; solutions have components in {0,1}."""
     grid = Grid1D(1.0, 2)
-    return ProblemModel(
-        name="identity_square", degree=2.0, grid=grid, is_complex=False,
-        apply_L=lambda u: u,
-        solve_L=lambda b: b,
-        apply_N=lambda u: u.with_values(u.values * u.values),
-        jacN_action=lambda u, v: v.with_values(2.0 * u.values * v.values),
-    )
+    node = NodeOperator(apply=lambda v: v, solve=lambda b: b, g=lambda v: v * v,
+                        g_jac=lambda u, v: 2.0 * u * v)
+    return operator_model(node, name="identity_square", degree=2.0, grid=grid, is_complex=False)
 
 
 def vec(problem, *components):

@@ -1,9 +1,10 @@
 """The fused stabilized loop: one (L u, N(u)) pair per iteration.
 
-Each case also runs on a copy of the problem without its FourierSymbol.  That
-copy evaluates L u, N(u) and the solve through the physical-space operators,
-once for the residual, the factor and the step each, as the loop did before
-it ran on Fourier coefficients.
+Each case also runs on a copy of the problem whose operator is a
+NodeOperator built from the family's own four callables (`node_space_copy`).
+That copy runs the loop on node values and evaluates L u, N(u) and the solve
+through the physical-space operators, as the loop did before it ran on
+Fourier coefficients.
 """
 
 from dataclasses import replace
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import travwave as tw
+from travwave.problems import NodeOperator
 from travwave.spectral import Field, Grid1D, Grid2D
 
 from conftest import map_step
@@ -53,12 +55,24 @@ CASES = {
 }
 
 
+def node_space_copy(problem):
+    """The problem with a NodeOperator that calls its four callables on node values."""
+    def at(values):
+        return Field(problem.grid, values)
+
+    node = NodeOperator(apply=lambda v: problem.apply_L(at(v)).values,
+                        solve=lambda b: problem.solve_L(at(b)).values,
+                        g=lambda v: problem.apply_N(at(v)).values,
+                        g_jac=lambda v, w: problem.jacN_action(at(v), at(w)).values)
+    return replace(problem, operator=node)
+
+
 @pytest.mark.parametrize("name", CASES)
 def test_fused_loop_matches_physical_space_loop(name):
     build, counts = CASES[name]
     problem, seed, tol = build()
     seed = problem.project_pinned(seed)
-    physical = replace(problem, fourier=None)
+    physical = node_space_copy(problem)
     config = tw.IterationConfig(max_iterations=300, residual_tolerance=tol)
     for descriptor, count in zip(DESCRIPTORS, counts):
         fused = tw.solve(problem, tw.from_descriptor(descriptor, problem), seed, config)
@@ -96,23 +110,23 @@ def test_one_lump_iteration_makes_two_ffts(monkeypatch):
 
 def test_dense_step_evaluates_each_operator_once():
     problem, seed, tol = ground_state_case()
-    calls = {"apply_L": 0, "apply_N": 0, "solve_L": 0}
+    calls = {"apply": 0, "g": 0, "solve": 0}
 
     def counted(name):
-        original = getattr(problem, name)
+        original = getattr(problem.operator, name)
 
-        def wrapper(field):
+        def wrapper(values):
             calls[name] += 1
-            return original(field)
+            return original(values)
 
         return wrapper
 
-    counting = replace(problem, **{name: counted(name) for name in calls})
+    counting = replace(problem, operator=replace(problem.operator, **{name: counted(name) for name in calls}))
     result = tw.solve(counting, tw.petviashvili_factor("optimal", counting), seed,
                       tw.IterationConfig(residual_tolerance=tol))
     n = result.trace.iteration_count
     assert n > 0
-    assert calls == {"apply_L": n + 1, "apply_N": n + 1, "solve_L": n}
+    assert calls == {"apply": n + 1, "g": n + 1, "solve": n}
 
 
 def test_step_wrappers_share_the_pair(soliton_problem, soliton_exact):

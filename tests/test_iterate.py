@@ -7,6 +7,7 @@ import travwave as tw
 from travwave import iterate
 from travwave.cli import build_factor, build_iteration_config, build_problem, build_seed, load_recipe
 from travwave.factors import FactorDomainError
+from travwave.problems import NodeOperator, operator_model
 from travwave.spectral import Field, Grid1D, Grid2D
 
 from conftest import map_step
@@ -415,13 +416,9 @@ class TestFallback:
 def scaled_square_problem(scale=1.0, jac_sign=1.0):
     """L = scale*I and N(u) = u*u on a 2-node grid; jacN_action is N'(u)v
     times jac_sign, so jac_sign = -1 stands for a wrong Jacobian."""
-    return tw.ProblemModel(
-        name="scaled_square", degree=2.0, grid=Grid1D(1.0, 2), is_complex=False,
-        apply_L=lambda u: scale * u,
-        solve_L=lambda b: (1.0 / scale) * b,
-        apply_N=lambda u: u.with_values(u.values * u.values),
-        jacN_action=lambda u, v: v.with_values(jac_sign * 2.0 * u.values * v.values),
-    )
+    node = NodeOperator(apply=lambda v: v * scale, solve=lambda b: b * (1.0 / scale),
+                        g=lambda v: v * v, g_jac=lambda u, v: jac_sign * 2.0 * u * v)
+    return operator_model(node, name="scaled_square", degree=2.0, grid=Grid1D(1.0, 2), is_complex=False)
 
 
 def two_nodes(a, b):

@@ -73,6 +73,12 @@ class TestModelContracts:
         order = np.log(errs[0] / errs[1]) / np.log(10.0)
         assert order >= 1.9
 
+    def test_a_model_without_an_operator_is_rejected_when_built(self, grid_1d):
+        identity = lambda u: u
+        with pytest.raises(TypeError, match="operator"):
+            tw.ProblemModel(name="bare", degree=2.0, grid=grid_1d, is_complex=False, apply_L=identity,
+                            solve_L=identity, apply_N=identity, jacN_action=lambda u, v: v)
+
     def test_eigenrelation_at_converged_states(self, ground_state_converged, ground_state_problem,
                                                soliton_problem, soliton_exact):
         for problem, state in ((ground_state_problem, ground_state_converged.final),
@@ -108,6 +114,19 @@ class TestSelfAdjointL:
             Lv = problem.apply_L(v)
             gap = abs(real_inner(Lv, w) - real_inner(v, problem.apply_L(w)))
             assert gap <= 1e-12 * Lv.norm * w.norm
+
+    @pytest.mark.parametrize("name", sorted(SELF_ADJOINT_CASES))
+    def test_pair_agrees_with_the_four_callables(self, grid_1d, name):
+        """The loop's pair, image and inner product, taken through the model's
+        operator, give what apply_L, apply_N, solve_L and real_inner give."""
+        problem = SELF_ADJOINT_CASES[name](grid_1d)
+        u, s = random_field(problem, seed=60), 0.7
+        pair, Nu = problem.pair(u), problem.apply_N(u)
+        for got, want in ((pair.field(pair.Lc), problem.apply_L(u)), (pair.field(pair.Nc), Nu),
+                          (pair.field(pair.image(s)), problem.solve_L(s * Nu))):
+            assert (got - want).norm <= 1e-12 * want.norm
+        for a, b in ((pair.uc, pair.Lc), (pair.uc, pair.Nc), (pair.Lc, pair.Nc), (pair.Nc, pair.Nc)):
+            assert pair.inner(a, b) == pytest.approx(real_inner(pair.field(a), pair.field(b)), rel=1e-12)
 
 
 class TestGroundState:
