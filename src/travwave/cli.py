@@ -236,8 +236,11 @@ def build_seed(cfg: dict, problem) -> Field:
 
 def output_dir(cfg: dict, override: str | None) -> Path:
     values = _read(cfg.get("output", {}), "output", {} if override else {"directory": str}, {"directory": str})
-    out = Path(override or values["directory"])
-    out.mkdir(parents=True, exist_ok=True)
+    key, out = ("--out", Path(override)) if override else ("output.directory", Path(values["directory"]))
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file at the path or above it
+        raise ConfigError(f"{key}: cannot create directory {out}: {exc.strerror}") from None
     return out
 
 
@@ -282,9 +285,8 @@ def _profile_template(grid, is_complex: bool) -> str:
 
 
 def write_profile_csv(path: Path, field: Field) -> None:
-    vals = np.asarray(field.values).ravel()
-    template = _profile_template(field.grid, field.is_complex)
-    _write_csv(path, template, *((vals.real, vals.imag) if field.is_complex else (vals,)))
+    # a complex field's float64 view interleaves (re, im): the template's column order
+    _write_csv(path, _profile_template(field.grid, field.is_complex), field.values.ravel().view(np.float64))
 
 
 def write_cross_sections(outdir: Path, field: Field) -> None:

@@ -184,7 +184,7 @@ def jacobian_spectrum(problem: ProblemModel, factor: StabilizingFactor, u_star: 
     u_norm = np.linalg.norm(u_vec)
 
     def grad_dot(x: np.ndarray) -> float:
-        f = space.from_vector(np.ascontiguousarray(x))
+        f = space.from_vector(x)
         return grad(f, problem.jacN_action(u_star, f))
 
     # mu, not the nominal p + q: s(u*) = 1 holds only to the state's factor

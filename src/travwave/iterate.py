@@ -184,11 +184,11 @@ class _Anderson:
 def newton_solve(problem: ProblemModel, u0: Field, config: IterationConfig | None = None) -> SolveResult:
     """Damped Newton on G(u) = L u - N(u) with backtracking line search.
 
-    Works on the problem's linearization space (node values, or [Re; Im] of
-    a complex field).  Each step solves J delta = -g matrix-free, by GMRES on
-    J L^{-1} (right preconditioning by the problem's own solve_L); a step is
-    taken only when GMRES meets its target, otherwise the run reports
-    divergence.
+    Works on the problem's linearization space (node values, or interleaved
+    (re, im) pairs of a complex field).  Each step solves J delta = -g
+    matrix-free, by GMRES on J L^{-1} (right preconditioning by the problem's
+    own solve_L); a step is taken only when GMRES meets its target, otherwise
+    the run reports divergence.
     The loop, residual and stop tests are `solve`'s; the pair of the trial
     the line search accepts is the next record.
     """

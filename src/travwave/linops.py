@@ -1,7 +1,8 @@
 """Adapters between fields and the real vector spaces linear algebra runs on.
 
-Real problems use the node values directly.  Complex problems (whose
-Jacobians are only real-linear) are realified to R^{2m} as [Re; Im].
+A field's node values become a float64 vector in the layout of
+`ndarray.view(np.float64)`: a complex field's (whose Jacobians are only
+real-linear) as interleaved (re, im) pairs in R^{2m}.
 """
 
 from __future__ import annotations
@@ -31,28 +32,14 @@ class VectorSpace:
         return vec_action
 
 
-def realified_space(grid: Grid) -> VectorSpace:
+def linearization_space(grid: Grid, dtype) -> VectorSpace:
+    """The node values of `dtype` fields on the grid as float64 vectors in the
+    layout of `ndarray.view(np.float64)`, copied both ways.  The float64 cast
+    also takes the int8 vector that scipy's LinearOperator probes with."""
     shape = grid.shape
-    n = int(np.prod(shape))
-
-    def to_vec(f: Field) -> np.ndarray:
-        flat = f.values.ravel()
-        return np.concatenate([flat.real, flat.imag])
-
-    def from_vec(v: np.ndarray) -> Field:
-        values = np.empty(shape, dtype=np.complex128)
-        values.real = v[:n].reshape(shape)
-        values.imag = v[n:].reshape(shape)
-        return Field(grid, values)
-
-    return VectorSpace(dim=2 * n, to_vector=to_vec, from_vector=from_vec)
-
-
-def node_space(grid: Grid) -> VectorSpace:
-    """The node values of a real field, flattened (copies both ways)."""
-    shape = grid.shape
-    return VectorSpace(dim=int(np.prod(shape)), to_vector=lambda f: np.real(f.values).flatten(),
-                       from_vector=lambda v: Field(grid, v.reshape(shape).copy()))
+    return VectorSpace(dim=int(np.prod(shape)) * np.dtype(dtype).itemsize // 8,
+                       to_vector=lambda f: f.values.flatten().view(np.float64),
+                       from_vector=lambda v: Field(grid, np.array(v, float).view(dtype).reshape(shape)))
 
 
 def assemble_matrix(action: Callable[[np.ndarray], np.ndarray], dim: int) -> np.ndarray:

@@ -148,8 +148,8 @@ class ProblemModel:
 
     def linearization_space(self) -> linops.VectorSpace:
         """Real vector space the linearization acts on: the node values of a
-        real problem, [Re; Im] of a complex one."""
-        return linops.realified_space(self.grid) if self.is_complex else linops.node_space(self.grid)
+        real problem, interleaved (re, im) pairs of a complex one."""
+        return linops.linearization_space(self.grid, complex if self.is_complex else float)
 
 
 @dataclass(frozen=True, eq=False)

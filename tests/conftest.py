@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 import travwave as tw
 from travwave.diagnostics import f_operator
@@ -87,15 +88,23 @@ def double_well_problem(grid_1d):
 
 @pytest.fixture(scope="session")
 def antisymmetric_state(double_well_problem, grid_1d):
-    """Two-bump antisymmetric double-well state, found by damped Newton.
+    """Two-bump antisymmetric double-well state: the root of
+    F(v) = v - L^{-1} N(v) that scipy's Newton-Krylov solver finds from an
+    antisymmetric seed (scipy's `hybr` fails from it).
 
     It solves L v = v^3 (sign = 1, the indefinite-L branch).
     """
+    problem = double_well_problem
+
+    def fixed_point_residual(v):
+        return v - problem.solve_L(problem.apply_N(Field(grid_1d, v))).values
+
     seed = tw.gaussian_seed(grid_1d, 2.0, 1.6, antisymmetric=True)
-    result = tw.newton_solve(double_well_problem, seed,
-                             tw.IterationConfig(max_iterations=60, residual_tolerance=1e-12))
-    assert result.status == "converged"
-    return result.final
+    root = scipy.optimize.root(fixed_point_residual, seed.values, method="krylov", tol=1e-13)
+    assert root.success, root.message
+    state = Field(grid_1d, root.x)
+    assert problem.pair(state).residual <= 1e-12
+    return state
 
 
 @pytest.fixture(scope="session")

@@ -140,7 +140,7 @@ def test_criterion_05_antisymmetric_state_and_stabilized_failure(
                    tw.IterationConfig(max_iterations=300, residual_tolerance=1e-12))
     escaped = np.max(np.abs(run.final.values - antisymmetric_state.values))
     assert run.status != "converged" or escaped > 1e-2
-    report(5, f"Newton reaches the antisymmetric state (residual {res:.1e}) with "
+    report(5, f"Newton-Krylov reaches the antisymmetric state (residual {res:.1e}) with "
               f"unstable spectrum {moduli[0]:.4f}, {moduli[1]:.4f}; the stabilized "
               f"iteration leaves it (status {run.status}, departure {escaped:.2e})")
 

@@ -843,6 +843,28 @@ class TestStreamedWriter:
         assert (out / "stage_000_gamma_0.000000" / "summary.json").is_file()
         assert not (out / "continuation.json").exists()
 
+    def test_unresizable_pipe_writes_every_stage_here(self, tmp_path, monkeypatch, forks):
+        """Where F_SETPIPE_SZ is refused (an unprivileged process may not grow
+        a pipe past /proc/sys/fs/pipe-max-size), the command forks nothing,
+        closes both pipes and writes the streamed tree itself."""
+        import fcntl
+
+        streamed = tmp_path / "streamed"
+        assert main(["continue", "--config", write_config(tmp_path, self.bisected_config(streamed))]) == 0
+        self.assert_no_child_left()
+        assert len(forks) == 1
+
+        def refused(fd, cmd, arg=0):
+            raise PermissionError(1, "Operation not permitted")
+
+        monkeypatch.setattr(fcntl, "fcntl", refused)
+        fds = sorted(os.listdir("/proc/self/fd"))
+        out = tmp_path / "here"
+        assert main(["continue", "--config", write_config(tmp_path, self.bisected_config(out))]) == 0
+        assert len(forks) == 1
+        assert sorted(os.listdir("/proc/self/fd")) == fds
+        assert tree_bytes(out) == tree_bytes(streamed)
+
     @pytest.mark.parametrize("command, recipe", [("solve", "fig2"), ("spectrum", "table2"), ("orbital", "fig67")])
     def test_single_and_small_runs_never_fork(self, tmp_path, monkeypatch, command, recipe):
         def no_fork():
@@ -1111,6 +1133,19 @@ class TestUnreadablePaths:
         err = capsys.readouterr().err
         assert f"config error: {key}: cannot read" in err and str(bad) in err
         assert not list((tmp_path / "out").glob("*"))
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "under_a_file"])
+    @pytest.mark.parametrize("key", ["--out", "output.directory"])
+    def test_output_path_at_or_under_a_file_exits_2(self, tmp_path, capsys, key, below):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory")
+        out = blocker / "out" if below else blocker
+        cfg = soliton_config(out if key == "output.directory" else tmp_path / "unused")
+        flags = ["--out", str(out)] if key == "--out" else []
+        assert main(["solve", "--config", write_config(tmp_path, cfg), *flags]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {key}: cannot create directory {out}" in err
+        assert blocker.read_text() == "not a directory"
 
 
 class TestOverflow:

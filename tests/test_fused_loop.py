@@ -1,7 +1,7 @@
 """The fused stabilized loop: one (L u, N(u)) pair per iteration.
 
 Each case also runs on a copy of the problem whose operator is a
-NodeOperator built from the family's own four callables (`node_space_copy`).
+NodeOperator built from the family's own four callables (`node_operator_copy`).
 That copy runs the loop on node values and evaluates L u, N(u) and the solve
 through the physical-space operators, as the loop did before it ran on
 Fourier coefficients.
@@ -55,7 +55,7 @@ CASES = {
 }
 
 
-def node_space_copy(problem):
+def node_operator_copy(problem):
     """The problem with a NodeOperator that calls its four callables on node values."""
     def at(values):
         return Field(problem.grid, values)
@@ -72,7 +72,7 @@ def test_fused_loop_matches_physical_space_loop(name):
     build, counts = CASES[name]
     problem, seed, tol = build()
     seed = problem.project_pinned(seed)
-    physical = node_space_copy(problem)
+    physical = node_operator_copy(problem)
     config = tw.IterationConfig(max_iterations=300, residual_tolerance=tol)
     for descriptor, count in zip(DESCRIPTORS, counts):
         fused = tw.solve(problem, tw.from_descriptor(descriptor, problem), seed, config)

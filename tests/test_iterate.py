@@ -149,7 +149,7 @@ class TestSolve:
 
     def test_petviashvili_cannot_hold_antisymmetric_state(self, double_well_problem,
                                                           antisymmetric_state, grid_1d):
-        # perturb the Newton state by 1e-3 and run the stabilized iteration
+        # perturb the reference state by 1e-3 and run the stabilized iteration
         bump = Field(grid_1d, np.exp(-(grid_1d.nodes - 0.7) ** 2 / 2.0))
         seed = antisymmetric_state + (1e-3 * antisymmetric_state.norm / bump.norm) * bump
         factor = tw.petviashvili_factor("optimal", double_well_problem)
@@ -157,6 +157,14 @@ class TestSolve:
                           tw.IterationConfig(max_iterations=300, residual_tolerance=1e-12))
         escaped = np.max(np.abs(result.final.values - antisymmetric_state.values))
         assert result.status != "converged" or escaped > 1e-2
+
+    @pytest.mark.parametrize("engine, iterations", [("stabilized", 5), ("anderson", 6)])
+    def test_run_to_the_trivial_state_is_collapsed(self, engine, iterations):
+        # the classical map of L = 2I, N(u) = u^2 takes 0.5 to 0.5^2 / 2 and on to 0
+        result = tw.solve(scaled_square_problem(scale=2.0), None, two_nodes(0.5, 0.5),
+                          tw.IterationConfig(engine=engine))
+        assert result.status == "collapsed"
+        assert result.trace.iteration_count == iterations
 
     def test_max_iterations_status(self, soliton_problem, soliton_exact):
         factor = tw.petviashvili_factor("optimal", soliton_problem)
@@ -217,6 +225,14 @@ class TestNewton:
         sign_changes = np.count_nonzero(np.diff(np.sign(right[np.abs(right) > 1e-6])))
         assert sign_changes == 0  # single-signed on each side of the origin
         assert np.max(np.abs(v)) == pytest.approx(1.9785, abs=0.05)
+
+    def test_reaches_the_reference_antisymmetric_state(self, double_well_problem, antisymmetric_state, grid_1d):
+        seed = tw.gaussian_seed(grid_1d, 2.0, 1.6, antisymmetric=True)
+        result = tw.newton_solve(double_well_problem, seed,
+                                 tw.IterationConfig(max_iterations=60, residual_tolerance=1e-12))
+        assert result.status == "converged"
+        distance = np.linalg.norm(result.final.values - antisymmetric_state.values)
+        assert distance <= 1e-12 * np.linalg.norm(antisymmetric_state.values)
 
     def test_soliton_newton_recovers_orbit_element(self, soliton_problem, soliton_exact):
         seed = soliton_exact + 0.2 * soliton_exact.with_values(1j * soliton_exact.values)
@@ -333,8 +349,9 @@ class TestAnderson:
             tw.IterationConfig(engine=engine)
 
     def test_table1_col34_box_reaches_the_newton_state(self, antisymmetric_state):
-        """Every seed of a 40-seed box around the recipe's reaches the state
-        Newton finds; undamped AA(5) breaks the factor down from 22 of them."""
+        """Every seed of a 40-seed box around the recipe's reaches the
+        reference state, which Newton also finds; undamped AA(5) breaks the
+        factor down from 22 of them."""
         cfg = load_recipe("table1_col34")
         problem = build_problem(cfg)
         factor, itconfig = build_factor(cfg, problem), build_iteration_config(cfg)
