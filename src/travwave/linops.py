@@ -34,11 +34,12 @@ class VectorSpace:
 
 def linearization_space(grid: Grid, dtype) -> VectorSpace:
     """The node values of `dtype` fields on the grid as float64 vectors in the
-    layout of `ndarray.view(np.float64)`, copied both ways.  The float64 cast
-    also takes the int8 vector that scipy's LinearOperator probes with."""
+    layout of `ndarray.view(np.float64)`, copied both ways.  The casts also
+    take a real field into a complex space and the int8 vector that scipy's
+    LinearOperator probes with."""
     shape = grid.shape
     return VectorSpace(dim=int(np.prod(shape)) * np.dtype(dtype).itemsize // 8,
-                       to_vector=lambda f: f.values.flatten().view(np.float64),
+                       to_vector=lambda f: f.values.astype(dtype).ravel().view(np.float64),
                        from_vector=lambda v: Field(grid, np.array(v, float).view(dtype).reshape(shape)))
 
 

@@ -43,6 +43,14 @@ def test_complex_values_interleave_re_and_im():
     assert space.to_vector(Field(Grid1D(1.0, 2), np.array([1 + 2j, 3 + 4j]))).tolist() == [1.0, 2.0, 3.0, 4.0]
 
 
+def test_real_field_enters_a_complex_space_with_zero_imaginary_parts():
+    real = FIELDS["real_1d"]
+    space = linearization_space(GRID_1D, complex)
+    vector = space.to_vector(real)
+    assert vector.size == space.dim
+    assert vector[0::2].tobytes() == real.values.tobytes() and not np.any(vector[1::2])
+
+
 @pytest.mark.parametrize("name", FIELDS)
 def test_int8_and_strided_vectors_are_accepted(name):
     field = FIELDS[name]
