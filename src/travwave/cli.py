@@ -599,6 +599,9 @@ def cmd_spectrum(cfg: dict, outdir: Path) -> int:
         if result.status == COLLAPSED:
             raise RuntimeError(f"the {itconfig.engine} solve collapsed to the trivial state u = 0; "
                                "its spectra say nothing about a traveling wave")
+        if not np.isfinite(result.trace.final_residual):  # N(u) overflowed, or u is not finite
+            raise RuntimeError(f"the {itconfig.engine} solve diverged to a non-finite state (final "
+                               f"residual {result.trace.final_residual}); it has no spectra")
         state = result.final
 
     # one Arnoldi run: F' comes from S's top k + 1 by the rank-one identity,

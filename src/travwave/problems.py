@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from . import linops
-from .spectral import Field, Grid, Grid1D, Grid2D, diff_matrix
+from .spectral import Field, Grid, Grid1D, Grid2D, derivative_multiplier, diff_matrix, fourier_multiply
 
 
 class SingularOperatorError(ValueError):
@@ -248,22 +248,27 @@ def nls_ground_state(potential, mu: float, grid: Grid1D, sign: int = -1) -> Prob
     spectrum on either axis.  For potentials with mu above the spectrum of
     D^2 + diag(V) the operator L is negative definite and the localized
     branch has sign = -1; indefinite L also supports sign = 1 states.
+
+    L v applies D^2 by the Fourier multiplier of `spectral.derivative` and adds
+    (V - mu) v, on real or complex node values.  The dense L serves only its
+    LU factorization: it is built once and factored in place, so the model
+    holds the factors and no other m x m array.
     """
     if isinstance(sign, bool) or sign not in (-1, 1):
         raise ValueError(f"sign must be -1 or 1, got {sign!r}")
     # scipy is imported where it is called: the Fourier families run on numpy alone
     from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
     V = _as_samples(potential, grid)
-    L_dense = diff_matrix(grid, 2)
-    diagonal = L_dense.reshape(-1)[:: grid.point_count + 1]
+    L = diff_matrix(grid, 2)  # Fortran order, so reshape(-1) would copy: "A" keeps the diagonal a view
+    diagonal = L.reshape(-1, order="A")[:: grid.point_count + 1]
     with np.errstate(over="ignore"):  # reported below, by name
         diagonal += V  # two steps: rounded as the dense sum D^2 + diag(V) - mu*I is
         diagonal -= mu
     if not np.isfinite(diagonal).all():
         raise ValueError(f"L = D^2 + diag(V) - mu*I overflows the float range at mu = {mu}")
     # ||L||_1 in O(m): each column holds the circulant's off-diagonal entries, plus its own diagonal entry
-    anorm = np.abs(L_dense[1:, 0]).sum() + np.abs(diagonal).max()
-    lu, piv, info = dgetrf(L_dense)
+    anorm = np.abs(L[1:, 0]).sum() + np.abs(diagonal).max()
+    lu, piv, info = dgetrf(L, overwrite_a=1)  # in place: lu is L's memory
     rcond = dgecon(lu, anorm, norm="1")[0] if info == 0 else 0.0  # info > 0: an exact zero pivot
     if not rcond >= 1e-13:  # a NaN rcond is singular too
         raise SingularOperatorError(
@@ -271,8 +276,11 @@ def nls_ground_state(potential, mu: float, grid: Grid1D, sign: int = -1) -> Prob
             f"(reciprocal condition {rcond:.2e}; mu coincides with a discrete eigenvalue)"
         )
 
-    # solve: LAPACK getrs on the stored factors, lu_solve's bytes without its input checks
-    node = NodeOperator(apply=lambda v: L_dense @ v, solve=lambda b: dgetrs(lu, piv, b)[0],
+    d2, shift = derivative_multiplier(grid, 2), V - mu
+    # apply: `spectral.derivative`'s D^2 v plus (V - mu) v; solve: LAPACK getrs on the stored
+    # factors, lu_solve's bytes without its input checks
+    node = NodeOperator(apply=lambda v: fourier_multiply(v, d2) + shift * v,
+                        solve=lambda b: dgetrs(lu, piv, b)[0],
                         g=lambda v: sign * v * v * v, g_jac=lambda v, w: 3.0 * sign * v * v * w)
     return operator_model(node, name="nls_ground_state", degree=3.0, grid=grid, is_complex=False,
                           params={"mu": mu, "sign": sign})

@@ -126,18 +126,17 @@ class Field:
         return Field(self.grid, -self.values)
 
 
-def _derivative_multiplier(grid: Grid1D, order: int) -> np.ndarray:
+def derivative_multiplier(grid: Grid1D, order: int) -> np.ndarray:
+    """The (i*k)^order multiplier of `derivative` along a 1D grid."""
     k = grid.wavenumbers_no_nyquist if order % 2 == 1 else grid.wavenumbers
     return (1j * k) ** order
 
 
-def _multiply(field: Field, mult: np.ndarray, axis: int) -> Field:
-    """Apply a 1D Fourier multiplier along `axis`; real fields stay real."""
-    mult = mult.reshape([-1 if a == axis else 1 for a in range(field.values.ndim)])
-    out = np.fft.ifft(mult * np.fft.fft(field.values, axis=axis), axis=axis)
-    if not field.is_complex:
-        out = out.real
-    return field.with_values(out)
+def fourier_multiply(values: np.ndarray, mult: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Apply a 1D Fourier multiplier along `axis` of node values; real values stay real."""
+    mult = mult.reshape([-1 if a == axis else 1 for a in range(values.ndim)])
+    out = np.fft.ifft(mult * np.fft.fft(values, axis=axis), axis=axis)
+    return out if np.iscomplexobj(values) else out.real
 
 
 def derivative(field: Field, order: int, axis: int = 0) -> Field:
@@ -150,11 +149,12 @@ def derivative(field: Field, order: int, axis: int = 0) -> Field:
     axes = field.grid.axes
     if not 0 <= axis < len(axes):
         raise ValueError(f"a {len(axes)}D field has no axis {axis}")
-    return _multiply(field, _derivative_multiplier(axes[axis], order), axis)
+    return field.with_values(fourier_multiply(field.values, derivative_multiplier(axes[axis], order), axis))
 
 
 def diff_matrix(grid: Grid1D, order: int) -> np.ndarray:
-    """Dense pseudospectral differentiation matrix, consistent with `derivative`.
+    """Dense pseudospectral differentiation matrix, consistent with `derivative`,
+    in Fortran (column-major) order, so LAPACK can factor it in place.
 
     D is circulant: its first column is the FFT multiplier applied to e_0,
     ifft(multiplier), and D[i, j] = column[(i - j) mod m]: row i is the length-m
@@ -163,5 +163,5 @@ def diff_matrix(grid: Grid1D, order: int) -> np.ndarray:
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
     m = grid.point_count
-    column = np.real(np.fft.ifft(_derivative_multiplier(grid, order)))
-    return np.lib.stride_tricks.sliding_window_view(np.tile(column[::-1], 2)[:-1], m)[::-1].copy()
+    column = np.real(np.fft.ifft(derivative_multiplier(grid, order)))
+    return np.lib.stride_tricks.sliding_window_view(np.tile(column[::-1], 2)[:-1], m)[::-1].copy(order="F")

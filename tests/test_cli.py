@@ -403,6 +403,25 @@ class TestSpectrum:
         assert hyp["verdict"] == "spectrum shift check failed; hypotheses not judged"
         assert hyp["satisfied"] is False
 
+    def test_non_finite_diverged_state_has_no_spectra(self, tmp_path):
+        """N(u) of a 1e200 seed overflows: the run is written as diverged, and
+        the spectrum step exits 3 naming the non-finite state, before ARPACK
+        sees it and with no warning, under -W error."""
+        cfg = load_recipe("table1_col12")
+        cfg["seed"]["amplitude"] = 1e200
+        out = tmp_path / "spec"
+        src = str(Path(tw.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "travwave.cli", "spectrum", "--config",
+                               write_config(tmp_path, cfg), "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr == ("runtime failure: RuntimeError: the stabilized solve diverged to a non-finite "
+                               "state (final residual inf); it has no spectra\n")
+        assert json.loads((out / "summary.json").read_text())["status"] == "diverged"
+        assert sorted(path.name for path in out.iterdir()) == ["profile.csv", "summary.json", "trace.csv"]
+
     def test_even_inner_factor_at_the_odd_state_exits_3(self, tmp_path, capsys):
         """<N(u*), u*^2> cancels to rounding at the antisymmetric state: the
         factor is 0/0 there, and the spectrum says so instead of a number."""

@@ -147,19 +147,41 @@ class TestGroundState:
     def test_solves_match_lu_solve_bit_for_bit(self, ground_state_problem, grid_1d):
         from scipy.linalg import lu_factor, lu_solve
 
-        m = grid_1d.point_count
-        L_dense = np.column_stack([ground_state_problem.apply_L(Field(grid_1d, e)).values for e in np.eye(m)])
-        factorization = lu_factor(L_dense)
+        m, V = grid_1d.point_count, tw.sech2_potential(grid_1d)
+        factorization = lu_factor(tw.diff_matrix(grid_1d, 2) + np.diag(V) - 1.3 * np.eye(m))  # the factored L
         rng = np.random.default_rng(11)
         for _ in range(200):
             b = Field(grid_1d, rng.normal(size=m))
             assert np.array_equal(ground_state_problem.solve_L(b).values, lu_solve(factorization, b.values))
 
-    def test_apply_L_equals_the_dense_sum_bit_for_bit(self, grid_1d):
+    def test_apply_L_is_the_spectral_sum_bit_for_bit(self, grid_1d):
+        """L v is D^2 v by `derivative` plus (V - mu) v, on real and complex
+        values; the dense sum D^2 + diag(V) - mu*I rounds differently, by
+        less than 1e-12 ||L||_1."""
         V, mu, m = tw.sech2_potential(grid_1d), 1.3, grid_1d.point_count
         problem = tw.nls_ground_state(V, mu, grid_1d)
+        rng = np.random.default_rng(12)
+        for v in (*np.eye(m), rng.normal(size=m), rng.normal(size=m) + 1j * rng.normal(size=m)):
+            u = Field(grid_1d, v)
+            assert np.array_equal(problem.apply_L(u).values, tw.derivative(u, 2).values + (V - mu) * v)
+        L = tw.diff_matrix(grid_1d, 2) + np.diag(V) - mu * np.eye(m)
         columns = np.column_stack([problem.apply_L(Field(grid_1d, e)).values for e in np.eye(m)])
-        assert np.array_equal(columns, tw.diff_matrix(grid_1d, 2) + np.diag(V) - mu * np.eye(m))
+        assert np.max(np.abs(columns - L)) <= 1e-12 * np.linalg.norm(L, 1)
+
+    def test_the_model_holds_one_dense_array(self, grid_1d):
+        """L is factored in place: the LU factors are the one m x m array the
+        model keeps, and the build never holds a second."""
+        import tracemalloc
+
+        V, mu, m = tw.sech2_potential(grid_1d), 1.3, grid_1d.point_count
+        tw.nls_ground_state(V, mu, grid_1d)  # a first build, so lazy imports and caches are not counted
+        tracemalloc.start()
+        try:
+            model = tw.nls_ground_state(V, mu, grid_1d)  # alive, so its arrays count as retained
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained <= 1.1 * 8 * m * m and peak <= 1.1 * 8 * m * m, (retained / (8 * m * m), peak / (8 * m * m))
 
     def test_non_finite_potential_sample_rejected(self, grid_1d):
         """A NaN sample is a ValueError about the potential, not a model whose
