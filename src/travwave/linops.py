@@ -36,7 +36,7 @@ def linearization_space(grid: Grid, dtype) -> VectorSpace:
     """The node values of `dtype` fields on the grid as float64 vectors in the
     layout of `ndarray.view(np.float64)`, copied both ways.  The casts also
     take a real field into a complex space and the int8 vector that scipy's
-    LinearOperator probes with."""
+    LinearOperator probes `newton_solve`'s GMRES operator with."""
     shape = grid.shape
     return VectorSpace(dim=int(np.prod(shape)) * np.dtype(dtype).itemsize // 8,
                        to_vector=lambda f: f.values.astype(dtype).ravel().view(np.float64),

@@ -10,10 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
 
 import travwave as tw
 import travwave.cli
+import travwave.diagnostics
 from travwave.cli import (
     FLOAT_FMT,
     ConfigError,
@@ -256,13 +256,13 @@ class TestSpectrum:
         assert spec["verified"] is True
 
     def test_perturbed_eigenvectors_are_reported_unverified(self, tmp_path, monkeypatch):
-        arpack = scipy.sparse.linalg.eigs
+        arnoldi = travwave.diagnostics._krylov_schur
 
         def perturbed(*args, **kwargs):
-            vals, vecs = arpack(*args, **kwargs)
-            return vals, vecs + 1e-3 * np.random.default_rng(1).standard_normal(vecs.shape)
+            vals, vecs, converged = arnoldi(*args, **kwargs)
+            return vals, vecs + 1e-3 * np.random.default_rng(1).standard_normal(vecs.shape), converged
 
-        monkeypatch.setattr(scipy.sparse.linalg, "eigs", perturbed)
+        monkeypatch.setattr(travwave.diagnostics, "_krylov_schur", perturbed)
         out = tmp_path / "spec"
         assert main(["spectrum", "--recipe", "table2", "--out", str(out)]) == 0
         for name in ("spectrum_S.json", "spectrum_F.json"):
@@ -277,15 +277,14 @@ class TestSpectrum:
 
     @staticmethod
     def stop_arnoldi_with(monkeypatch, pairs):
-        """ARPACK stops unconverged, with the first `pairs` of the pairs it finds."""
-        arpack = scipy.sparse.linalg.eigs
+        """Arnoldi stops at its restart cap, with the first `pairs` of the pairs it finds."""
+        arnoldi = travwave.diagnostics._krylov_schur
 
         def unconverged(*args, **kwargs):
-            vals, vecs = arpack(*args, **kwargs)
-            raise scipy.sparse.linalg.ArpackNoConvergence("ARPACK error -1: No convergence",
-                                                          vals[:pairs], vecs[:, :pairs])
+            vals, vecs, _ = arnoldi(*args, **kwargs)
+            return vals[:pairs], vecs[:, :pairs], False
 
-        monkeypatch.setattr(scipy.sparse.linalg, "eigs", unconverged)
+        monkeypatch.setattr(travwave.diagnostics, "_krylov_schur", unconverged)
 
     def test_partly_converged_arnoldi_is_reported_unverified(self, tmp_path, monkeypatch):
         self.stop_arnoldi_with(monkeypatch, 3)  # of the 7 that spectrum_k = 6 asks for
@@ -302,7 +301,7 @@ class TestSpectrum:
         out = tmp_path / "spec"
         assert main(["spectrum", "--recipe", "table2", "--out", str(out)]) == 3
         err = capsys.readouterr().err
-        assert "runtime failure: RuntimeError: ARPACK did not converge: none of the 7 eigenpairs" in err
+        assert "runtime failure: RuntimeError: Arnoldi did not converge: none of the 7 eigenpairs" in err
         assert not (out / "spectrum_S.json").exists()
 
     @pytest.mark.parametrize("r", ["1", "2", "inf"])
@@ -1219,34 +1218,38 @@ def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
 codes = [main([command, "--config", path])
-         for command, path in zip(["continue", "solve", "orbital"], sys.argv[1:4])]
+         for command, path in zip(["continue", "solve", "orbital", "spectrum"], sys.argv[1:5])]
 before = scipy_modules()
-codes.append(main(["spectrum", "--config", sys.argv[4]]))
+codes.append(main(["solve", "--config", sys.argv[5]]))
 print(json.dumps({"codes": codes, "before": before, "after": scipy_modules()}))
 """
 
 
 class TestColdStart:
     def test_fourier_runs_load_no_scipy(self, tmp_path):
-        """continue, a stabilized Fourier solve and orbital run on numpy alone;
-        the spectrum control shows the check sees a scipy import when one
-        happens.  A fresh interpreter, since this one has loaded scipy already."""
+        """continue, a stabilized Fourier solve, orbital and spectrum run on
+        numpy alone; a ground-state solve, the control, shows the check sees
+        a scipy import when one happens.  A fresh interpreter, since this one
+        has loaded scipy already."""
         orbital_cfg = soliton_config(tmp_path / "orb", orbital={"experiments": [{"eps1": 0.2}]})
         spectrum_cfg = soliton_config(tmp_path / "spec")
         spectrum_cfg["diagnostics"] = {"spectrum_k": 6, "state": "exact"}
+        ground_state_cfg = load_recipe("table1_col12")
+        ground_state_cfg["output"]["directory"] = str(tmp_path / "ground")
         paths = [write_config(tmp_path, lump_config(tmp_path / "cont", points=32), "cont.json"),
                  write_config(tmp_path, soliton_config(tmp_path / "solve"), "solve.json"),
                  write_config(tmp_path, orbital_cfg, "orb.json"),
-                 write_config(tmp_path, spectrum_cfg, "spec.json")]
+                 write_config(tmp_path, spectrum_cfg, "spec.json"),
+                 write_config(tmp_path, ground_state_cfg, "ground.json")]
         src = str(Path(tw.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
         proc = subprocess.run([sys.executable, "-c", FRESH_RUNS, *paths], env=env,
                               capture_output=True, text=True, check=True, timeout=300)
         report = json.loads(proc.stdout.splitlines()[-1])
-        assert report["codes"] == [0, 0, 0, 0]
+        assert report["codes"] == [0, 0, 0, 0, 0]
         assert report["before"] == []
-        assert "scipy.sparse.linalg" in report["after"]
+        assert "scipy.linalg" in report["after"]
         assert "scipy.optimize" not in report["after"]
         assert json.loads((tmp_path / "cont" / "continuation.json").read_text())["completed"]
 

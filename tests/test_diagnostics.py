@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 import travwave as tw
+from travwave import diagnostics
 from travwave.diagnostics import (RESIDUAL_TOL, UNIT_TOL, SpectrumReport, f_operator,
                                   hypothesis_verdicts, s_operator)
 from travwave.factors import F_MAPS, DegenerateDenominatorError
@@ -38,6 +39,50 @@ class TestTopEigenvalues:
         assert np.all(report.near_unit)
         assert np.max(report.residuals) <= 1e-12
 
+    def test_repeated_calls_are_bit_identical(self):
+        # the identity's Krylov space is invariant from the first step, so
+        # every direction past the start vector is a fresh draw, and each
+        # call draws from a generator of its own
+        first, second = (tw.top_eigenvalues(lambda v: v, dimension=40, k=5) for _ in range(2))
+        assert np.array_equal(first.eigenvalues, second.eigenvalues)
+        assert np.array_equal(first.eigenvectors, second.eigenvectors)
+
+    def test_repeated_top_eigenvalue_reported_twice(self):
+        # the Krylov space of the start vector meets the eigenspace of 1 in
+        # one direction; the breakdown after three steps brings in the other
+        diag = np.full(40, 0.5)
+        diag[:3] = [3.0, 1.0, 1.0]
+        report = tw.top_eigenvalues(lambda v: diag * v, dimension=40, k=3)
+        assert np.allclose(report.eigenvalues, [3.0, 1.0, 1.0], rtol=0.0, atol=1e-12)
+        assert report.verified
+        assert np.linalg.matrix_rank(report.eigenvectors[1:3, 1:3], tol=1e-6) == 2
+
+    def test_breakdown_at_every_step_on_the_identity(self):
+        # every action breaks down, so the basis is the start vector and
+        # fresh draws; one basis of ARPACK's default size 20 converges it
+        calls = [0]
+
+        def identity(v):
+            calls[0] += 1
+            return v
+
+        report = tw.top_eigenvalues(identity, dimension=1000, k=6, spare=1)
+        assert report.converged
+        assert np.array_equal(report.eigenvalues, np.ones(6))
+        assert calls[0] == 20 + 6
+        assert np.linalg.matrix_rank(report.eigenvectors, tol=1e-6) == 6
+
+    def test_restart_cap_reports_the_converged_pairs(self, monkeypatch):
+        # one basis of 20 actions resolves an isolated 100, not the cluster below 2
+        monkeypatch.setattr(diagnostics, "ARNOLDI_RESTARTS", 1)
+        diag = 1.0 + np.arange(5000) / 5000
+        with pytest.raises(RuntimeError, match="none of the 4 eigenpairs requested converged in 1 "):
+            tw.top_eigenvalues(lambda v: diag * v, dimension=5000, k=4)
+        diag[0] = 100.0
+        report = tw.top_eigenvalues(lambda v: diag * v, dimension=5000, k=4)
+        assert not report.converged and not report.verified
+        assert np.allclose(report.eigenvalues, [100.0], rtol=0.0, atol=1e-12)
+
     def test_arnoldi_path_on_large_diagonal_operator(self):
         n = 5000
         diag = 1.0 + np.arange(n) / n  # top eigenvalues just below 2
@@ -64,24 +109,24 @@ class TestTopEigenvalues:
 
 def residual_action_count(monkeypatch, action, dimension, k):
     """The report of top_eigenvalues and the number of actions it took after
-    ARPACK returned, i.e. to measure the eigen-residuals."""
+    Arnoldi returned, i.e. to measure the eigen-residuals."""
     calls = [0]
-    arpack_calls = []
+    arnoldi_calls = []
 
     def counting(v):
         calls[0] += 1
         return action(v)
 
-    eigs = scipy.sparse.linalg.eigs
+    arnoldi = diagnostics._krylov_schur
 
-    def marked_eigs(*args, **kwargs):
-        out = eigs(*args, **kwargs)
-        arpack_calls.append(calls[0])
+    def marked_arnoldi(*args, **kwargs):
+        out = arnoldi(*args, **kwargs)
+        arnoldi_calls.append(calls[0])
         return out
 
-    monkeypatch.setattr(scipy.sparse.linalg, "eigs", marked_eigs)
+    monkeypatch.setattr(diagnostics, "_krylov_schur", marked_arnoldi)
     report = tw.top_eigenvalues(counting, dimension, k)
-    return report, calls[0] - arpack_calls[0]
+    return report, calls[0] - arnoldi_calls[0]
 
 
 def two_action_residuals(action, report):
