@@ -18,14 +18,12 @@ error, 3 runtime failure.
 from __future__ import annotations
 
 import argparse
-import collections
 import contextlib
 import csv
 import functools
 import importlib.resources
 import json
 import os
-import pickle
 import sys
 import warnings
 from dataclasses import MISSING, asdict, fields, replace
@@ -373,7 +371,7 @@ def summary_payload(seed: dict | None, factor, result: SolveResult, itconfig: It
 
 
 # Runs holding at least this many node values in total, over two or more
-# runs, are streamed to one forked writer process (`_WriterProcess`) as they
+# runs, are streamed to one forked writer process (`_serve`) as they
 # are solved, so the writing overlaps the solves.  The `%.17g` formatting
 # holds the GIL, so a writer thread gains nothing.  Below this size the fork
 # costs more than it saves: medians of writing two lump stages on 2 cores,
@@ -381,9 +379,6 @@ def summary_payload(seed: dict | None, factor, result: SolveResult, itconfig: It
 # for 2 x 4,096 values, 9.4 against 7.5 ms for 2 x 8,100 and 15.6 against
 # 10.7 ms for 2 x 16,384.
 SPLIT_NODE_VALUES = 2**14
-# runs the writer process holds at once: one being written and one waiting;
-# the parent queues the rest
-IN_FLIGHT = 2
 
 
 def _write_run(outdir: Path, name: str, payload: dict, result: SolveResult) -> None:
@@ -398,119 +393,15 @@ def _write_run(outdir: Path, name: str, payload: dict, result: SolveResult) -> N
     _json_dump(sub / "summary.json", payload)
 
 
-class _WriterProcess:
-    """A forked child that writes the runs sent to it through a pipe, in
-    order, and acknowledges each with one byte on a second pipe.
-
-    The parent sends a run as soon as it is solved while fewer than IN_FLIGHT
-    are unacknowledged, and queues it otherwise; `finish` writes from the
-    tail of the queue while the child keeps taking from its head."""
-
-    def __init__(self, outdir: Path, run_bytes: int):
-        """Raises OSError when the pipe cannot hold IN_FLIGHT runs of
-        `run_bytes`, so that a send would wait on the child."""
-        import fcntl  # POSIX only, like fork
-
-        if not hasattr(fcntl, "F_SETPIPE_SZ"):  # Linux only
-            raise OSError("pipes cannot be resized on this platform")
-        runs_in, self.runs = os.pipe()
-        self.acks, acks_out = os.pipe()
+def _serve(outdir: Path, queue) -> None:
+    """The writer process: write the runs (name, summary payload, result)
+    taken from `queue` until it takes None.  A failure ends the process with
+    exit code 1 and a traceback that names the run."""
+    while (run := queue.get()) is not None:
         try:
-            fcntl.fcntl(self.runs, fcntl.F_SETPIPE_SZ, IN_FLIGHT * run_bytes)
-            sys.stderr.flush()  # so the child's flush on its way out repeats none of the parent's output
-            with warnings.catch_warnings():
-                # Python >= 3.12 warns that forking beside OpenBLAS's threads may deadlock
-                # the child; this child makes no BLAS call, starts no thread and leaves by os._exit
-                warnings.filterwarnings("ignore", r"This process .* is multi-threaded, use of fork\(\)",
-                                        DeprecationWarning)
-                self.pid = os.fork()
-        except OSError:
-            for fd in (runs_in, self.runs, self.acks, acks_out):
-                os.close(fd)
-            raise
-        if self.pid == 0:
-            os.close(self.runs)
-            os.close(self.acks)
-            self._serve(outdir, runs_in, acks_out)
-        os.close(runs_in)
-        os.close(acks_out)
-        os.set_blocking(self.acks, False)
-        self.outdir = outdir
-        self.sent: list[str] = []
-        self.written = 0
-        self.queue: collections.deque = collections.deque()
-        self.code: int | None = None
-
-    @staticmethod
-    def _serve(outdir: Path, runs_in: int, acks_out: int):
-        """The child: write each run received until the pipe closes, then
-        leave by os._exit, never returning into the caller: status 0 when
-        every run is written, 1 when one fails (after printing its traceback
-        to stderr) or the child is interrupted."""
-        status = 1
-        try:
-            with open(runs_in, "rb") as runs:
-                while True:
-                    try:
-                        run = pickle.load(runs)
-                    except EOFError:
-                        break
-                    _write_run(outdir, *run)
-                    os.write(acks_out, b"\0")
-            status = 0
-        except Exception:  # noqa: BLE001 - the parent reports the failure
-            import traceback  # only a failing child needs it
-            traceback.print_exc()
-        finally:
-            sys.stderr.flush()
-            os._exit(status)
-
-    def put(self, run: tuple) -> None:
-        """Queue a run (name, summary payload, result) for the child."""
-        self.queue.append(run)
-        self._feed()
-
-    def finish(self) -> None:
-        """Write the queued runs, from the tail here and from the head in the child."""
-        self._feed()
-        while self.queue:
-            _write_run(self.outdir, *self.queue.pop())
-            self._feed()
-
-    def _feed(self) -> None:
-        """Count the child's acknowledgements, then send from the head of the
-        queue while fewer than IN_FLIGHT runs are unacknowledged."""
-        try:
-            while acks := os.read(self.acks, IN_FLIGHT):
-                self.written += len(acks)
-            raise self.failure()  # end of file: the child left before its input ended
-        except BlockingIOError:
-            pass
-        while self.queue and len(self.sent) - self.written < IN_FLIGHT:
-            run = self.queue.popleft()
-            data = memoryview(pickle.dumps(run, pickle.HIGHEST_PROTOCOL))
-            self.sent.append(run[0])
-            try:
-                while data:
-                    data = data[os.write(self.runs, data):]
-            except BrokenPipeError:
-                raise self.failure() from None
-
-    def close(self) -> int:
-        """End the child's input, wait for it and return its exit code."""
-        if self.code is None:
-            os.close(self.runs)
-            self.code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-            while acks := os.read(self.acks, 4096):
-                self.written += len(acks)
-            os.close(self.acks)
-        return self.code
-
-    def failure(self) -> RuntimeError:
-        """The error of a failed child, naming the run it was writing."""
-        code, pending = self.close(), self.sent[self.written:]
-        return RuntimeError(f"the writer process exited with code {code}"
-                            + (f" writing {pending[0]}" if pending else ""))
+            _write_run(outdir, *run)
+        except Exception as exc:
+            raise RuntimeError(f"the writer process failed writing {run[0]}") from exc
 
 
 def _streams(runs: int, sample: Field) -> bool:
@@ -527,35 +418,53 @@ def _write_runs(outdir: Path, itconfig: IterationConfig, runs: int = 1, sample: 
     """Yields `write(run)`, which writes a run (name, seed record, factor,
     result, index entry) into `outdir / name` (see `_write_run`) and returns
     its index entry with its directory and status added.  When `runs` runs
-    shaped like `sample` are expected and `_streams` holds, a `_WriterProcess`
-    writes them while the caller solves the next; either way every run
-    directory is complete when the block ends without an error."""
-    writer = None
+    shaped like `sample` are expected and `_streams` holds, `write` puts each
+    run on a queue that a forked writer process (`_serve`) takes from while
+    the caller solves the next, and once the block ends this process takes
+    runs from the same queue beside it.  Either way every run directory is
+    complete when the block ends without an error."""
+    queue = None
     if _streams(runs, sample):
-        try:
-            writer = _WriterProcess(outdir, sample.values.nbytes + 2**16)  # 64 KiB: trace and summary
-        except OSError:
-            pass  # the runs are written here
+        import multiprocessing  # only a streamed write needs it
+
+        context = multiprocessing.get_context("fork")
+        queue = context.Queue()
+        writer = context.Process(target=_serve, args=(outdir, queue), daemon=True)
+        with warnings.catch_warnings():
+            # Python >= 3.12 warns that forking beside OpenBLAS's threads may deadlock
+            # the child; this child makes no BLAS call and starts no thread
+            warnings.filterwarnings("ignore", r"This process .* is multi-threaded, use of fork\(\)",
+                                    DeprecationWarning)
+            writer.start()  # before the first put starts the queue's feeder thread
 
     def write(run) -> dict:
         name, seed, factor, result, entry = run
-        payload = summary_payload(seed, factor, result, itconfig)
-        if writer is None:
-            _write_run(outdir, name, payload, result)
+        run = name, summary_payload(seed, factor, result, itconfig), result
+        if queue is None:
+            _write_run(outdir, *run)
         else:
-            writer.put((name, payload, result))
+            queue.put(run)
         return {"directory": name, "status": result.status, **entry}
 
-    if writer is None:
+    if queue is None:
         yield write
         return
     try:
-        yield write
-        writer.finish()
+        try:
+            yield write
+        finally:
+            queue.put(None)  # one stop for the writer
+        queue.put(None)  # and one for this process; each stops at the first None it takes
+        while (run := queue.get()) is not None:
+            _write_run(outdir, *run)
     finally:
-        code = writer.close()
-    if code != 0:
-        raise writer.failure()
+        writer.join()
+        if writer.exitcode != 0:  # runs may be left unsent, with no reader: do not wait for them
+            queue.cancel_join_thread()
+        queue.close()
+        queue.join_thread()
+    if writer.exitcode != 0:
+        raise RuntimeError(f"the writer process exited with code {writer.exitcode}")
 
 
 def cmd_solve(cfg: dict, outdir: Path) -> int:

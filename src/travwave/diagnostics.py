@@ -122,9 +122,6 @@ def top_eigenvalues(action: Callable[[np.ndarray], np.ndarray], dimension: int, 
     if len(eigvals) == 0:
         raise RuntimeError(f"Arnoldi did not converge: none of the {k + spare} eigenpairs "
                            f"requested converged in {ARNOLDI_RESTARTS} restarts")
-    order = np.argsort(-np.abs(eigvals), kind="stable")
-    eigvals = eigvals[order]
-    eigvecs = eigvecs[:, order]
     return _report(action, dimension, eigvals[:k], eigvecs[:, :k], k, converged,
                    spare_pairs=tuple(zip(eigvals[k:], eigvecs[:, k:].T)))
 
@@ -132,8 +129,8 @@ def top_eigenvalues(action: Callable[[np.ndarray], np.ndarray], dimension: int, 
 def _krylov_schur(action: Callable[[np.ndarray], np.ndarray], dimension: int,
                   nev: int) -> tuple[np.ndarray, np.ndarray, bool]:
     """The nev largest-modulus eigenpairs of `action` (complex eigenvalues,
-    unit eigenvectors as columns) and whether all converged; at the restart
-    cap, only the pairs that did.
+    unit eigenvectors as columns), in non-increasing modulus, and whether all
+    converged; at the restart cap, only the pairs that did.
 
     Krylov-Schur restarts (Stewart, SIAM J. Matrix Anal. Appl. 23, 2001) of
     an Arnoldi basis of ARPACK's default size ncv = max(2 nev + 1, 20), at

@@ -77,6 +77,12 @@ def write_config(tmp_path, cfg, name="config.json"):
     return str(path)
 
 
+def fresh_env():
+    """The environment of a fresh interpreter that imports this travwave."""
+    src = str(Path(tw.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def tree_bytes(root):
     """Every file under `root`, by relative path, with its bytes."""
     return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
@@ -409,11 +415,9 @@ class TestSpectrum:
         cfg = load_recipe("table1_col12")
         cfg["seed"]["amplitude"] = 1e200
         out = tmp_path / "spec"
-        src = str(Path(tw.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
         proc = subprocess.run([sys.executable, "-W", "error", "-m", "travwave.cli", "spectrum", "--config",
                                write_config(tmp_path, cfg), "--out", str(out)],
-                              env=env, capture_output=True, text=True, timeout=120)
+                              env=fresh_env(), capture_output=True, text=True, timeout=120)
         assert proc.returncode == 3, proc.stderr
         assert proc.stdout == ""
         assert proc.stderr == ("runtime failure: RuntimeError: the stabilized solve diverged to a non-finite "
@@ -756,8 +760,9 @@ class TestNonFiniteNumbers:
 
 
 class TestStreamedWriter:
-    """A continuation over enough node values streams its stages, as each is
-    appended, to one forked writer process; the bytes are those of the
+    """A continuation over enough node values puts its stages, as each is
+    appended, on a queue that one forked writer process takes from; once the
+    solves end the command takes from it too.  The bytes are those of the
     one-process loop."""
 
     @staticmethod
@@ -814,19 +819,21 @@ class TestStreamedWriter:
         out.mkdir()
         (out / self.STAGES[blocked]).write_text("not a directory")
         if blocked == 3:
-            # the child takes no stage until the parent has tried one, so the
-            # parent writes the last stage from the tail of its queue
-            parent, (tried, told) = os.getpid(), os.pipe()
+            # the child holds the first stage it takes until a write here has
+            # failed, so the command takes every later stage from the queue,
+            # the last one included
+            parent, (failed, told) = os.getpid(), os.pipe()
             write_run = travwave.cli._write_run
 
             def ordered(*args):
                 if os.getpid() != parent:
-                    select.select([tried], [], [], 30.0)
+                    select.select([failed], [], [], 30.0)
                     return write_run(*args)
                 try:
                     return write_run(*args)
-                finally:
+                except OSError:
                     os.write(told, b"\0")
+                    raise
 
             monkeypatch.setattr(travwave.cli, "_write_run", ordered)
         code = main(["continue", "--config", write_config(tmp_path, self.bisected_config(out))])
@@ -836,10 +843,10 @@ class TestStreamedWriter:
         err = capfd.readouterr().err
         assert self.STAGES[blocked] in err and "FileExistsError" in err
         if blocked == 3:
-            os.close(tried)
+            os.close(failed)
             os.close(told)
-            # the child wrote the two stages it held
-            assert all((out / name / "summary.json").is_file() for name in self.STAGES[:2])
+            # the child wrote the stage it held, and the command the one after it
+            assert all((out / name / "summary.json").is_file() for name in self.STAGES[:3])
         assert not (out / "continuation.json").exists()
 
     def test_failed_later_solve_exits_3_and_leaves_no_child(self, tmp_path, monkeypatch, capfd, forks):
@@ -861,27 +868,74 @@ class TestStreamedWriter:
         assert (out / "stage_000_gamma_0.000000" / "summary.json").is_file()
         assert not (out / "continuation.json").exists()
 
-    def test_unresizable_pipe_writes_every_stage_here(self, tmp_path, monkeypatch, forks):
-        """Where F_SETPIPE_SZ is refused (an unprivileged process may not grow
-        a pipe past /proc/sys/fs/pipe-max-size), the command forks nothing,
-        closes both pipes and writes the streamed tree itself."""
+    def test_stages_past_the_pipe_size_limit_stream(self, tmp_path, monkeypatch, forks):
+        """Two 240 x 240 stages (57,600 nodes each) stream through one fork
+        where a pipe may not grow past 1 MiB, as for an unprivileged process
+        under the default /proc/sys/fs/pipe-max-size, and give the one-CPU tree."""
         import fcntl
 
-        streamed = tmp_path / "streamed"
-        assert main(["continue", "--config", write_config(tmp_path, self.bisected_config(streamed))]) == 0
-        self.assert_no_child_left()
-        assert len(forks) == 1
+        fcntl_call = fcntl.fcntl
 
-        def refused(fd, cmd, arg=0):
-            raise PermissionError(1, "Operation not permitted")
+        def limited(fd, cmd, arg=0):
+            if cmd == getattr(fcntl, "F_SETPIPE_SZ", None) and arg > 2**20:
+                raise PermissionError(1, "Operation not permitted")
+            return fcntl_call(fd, cmd, arg)
 
-        monkeypatch.setattr(fcntl, "fcntl", refused)
-        fds = sorted(os.listdir("/proc/self/fd"))
-        out = tmp_path / "here"
-        assert main(["continue", "--config", write_config(tmp_path, self.bisected_config(out))]) == 0
-        assert len(forks) == 1
-        assert sorted(os.listdir("/proc/self/fd")) == fds
-        assert tree_bytes(out) == tree_bytes(streamed)
+        monkeypatch.setattr(fcntl, "fcntl", limited)
+        trees = {}
+        for cpus in ({0, 1}, {0}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
+            out = tmp_path / f"cpus_{len(cpus)}"
+            assert main(["continue", "--config", write_config(tmp_path, lump_config(out, points=240))]) == 0
+            self.assert_no_child_left()
+            trees[len(cpus)] = tree_bytes(out)
+        assert len(forks) == 1  # on two CPUs
+        assert len(trees[2]) == 2 * 5 + 1
+        assert trees[2] == trees[1]
+
+    DYING_WRITER = """
+import os, sys
+import travwave.cli, travwave.continuation
+
+parent, write_run, solve, solves = os.getpid(), travwave.cli._write_run, travwave.continuation.solve, []
+
+def dying(*args):  # the writer process leaves at the first run it takes
+    if os.getpid() != parent:
+        os._exit(1)
+    return write_run(*args)
+
+def failing_third(*args, **kwargs):
+    solves.append(1)
+    if len(solves) == 3 and sys.argv[1] == "fails":
+        raise ArithmeticError("stage solve failed")
+    return solve(*args, **kwargs)
+
+travwave.cli._write_run, travwave.continuation.solve = dying, failing_third
+os.sched_getaffinity = lambda pid: {0, 1}
+code = travwave.cli.main(["continue", "--config", sys.argv[2]])
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("no child left")
+sys.exit(code)
+"""
+
+    @pytest.mark.parametrize("last_solve", ["succeeds", "fails"])
+    def test_writer_dying_early_exits_3_and_leaves_no_child(self, tmp_path, last_solve):
+        """A writer process that dies at its first stage fails the command,
+        which reaps it and, as it leaves, does not wait to send the stages
+        queued for it: a 96 x 96 stage outgrows the queue's 64 KiB pipe, so
+        the second one stays unsent when the third solve fails.  A fresh
+        interpreter, whose exit would wait on an unsent stage."""
+        cfg = lump_config(tmp_path / "cont", points=96)
+        cfg["continuation"]["values"] = [0.0, 0.05, 0.1]
+        proc = subprocess.run([sys.executable, "-c", self.DYING_WRITER, last_solve, write_config(tmp_path, cfg)],
+                              env=fresh_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stdout == "no child left\n"
+        assert ("stage solve failed" if last_solve == "fails"
+                else "the writer process exited with code 1") in proc.stderr
+        assert not (tmp_path / "cont" / "continuation.json").exists()
 
     @pytest.mark.parametrize("command, recipe", [("solve", "fig2"), ("spectrum", "table2"), ("orbital", "fig67")])
     def test_single_and_small_runs_never_fork(self, tmp_path, monkeypatch, command, recipe):
@@ -1221,7 +1275,8 @@ codes = [main([command, "--config", path])
          for command, path in zip(["continue", "solve", "orbital", "spectrum"], sys.argv[1:5])]
 before = scipy_modules()
 codes.append(main(["solve", "--config", sys.argv[5]]))
-print(json.dumps({"codes": codes, "before": before, "after": scipy_modules()}))
+print(json.dumps({"codes": codes, "before": before, "after": scipy_modules(),
+                  "multiprocessing": "multiprocessing" in sys.modules}))
 """
 
 
@@ -1229,8 +1284,9 @@ class TestColdStart:
     def test_fourier_runs_load_no_scipy(self, tmp_path):
         """continue, a stabilized Fourier solve, orbital and spectrum run on
         numpy alone; a ground-state solve, the control, shows the check sees
-        a scipy import when one happens.  A fresh interpreter, since this one
-        has loaded scipy already."""
+        a scipy import when one happens.  None of these runs streams, so
+        none loads multiprocessing.  A fresh interpreter, since this one has
+        loaded scipy already."""
         orbital_cfg = soliton_config(tmp_path / "orb", orbital={"experiments": [{"eps1": 0.2}]})
         spectrum_cfg = soliton_config(tmp_path / "spec")
         spectrum_cfg["diagnostics"] = {"spectrum_k": 6, "state": "exact"}
@@ -1241,16 +1297,14 @@ class TestColdStart:
                  write_config(tmp_path, orbital_cfg, "orb.json"),
                  write_config(tmp_path, spectrum_cfg, "spec.json"),
                  write_config(tmp_path, ground_state_cfg, "ground.json")]
-        src = str(Path(tw.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run([sys.executable, "-c", FRESH_RUNS, *paths], env=env,
+        proc = subprocess.run([sys.executable, "-c", FRESH_RUNS, *paths], env=fresh_env(),
                               capture_output=True, text=True, check=True, timeout=300)
         report = json.loads(proc.stdout.splitlines()[-1])
         assert report["codes"] == [0, 0, 0, 0, 0]
         assert report["before"] == []
         assert "scipy.linalg" in report["after"]
         assert "scipy.optimize" not in report["after"]
+        assert report["multiprocessing"] is False
         assert json.loads((tmp_path / "cont" / "continuation.json").read_text())["completed"]
 
 
